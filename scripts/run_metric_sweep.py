@@ -12,19 +12,18 @@ import argparse
 import os
 import sys
 
+from stlopt.cli import BENCH_METRICS
 from stlopt.harness import ExperimentConfig, emit_results, run_experiment
+from stlopt.optim.driver import METHODS
 from stlopt.semantics import MetricConfig
-
-METRICS = ("space", "lse", "smooth", "agm", "avg", "new")
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--budget", type=int, default=60)
     ap.add_argument("--seeds", type=int, default=5, help="runs per configuration (seeds 0..n-1)")
-    ap.add_argument("--methods", nargs="+", default=["bo", "cmaes", "random"],
-                    choices=["bo", "cmaes", "random"])
-    ap.add_argument("--metrics", nargs="+", default=list(METRICS), choices=METRICS)
+    ap.add_argument("--methods", nargs="+", default=sorted(METHODS), choices=sorted(METHODS))
+    ap.add_argument("--metrics", nargs="+", default=list(BENCH_METRICS), choices=BENCH_METRICS)
     ap.add_argument("--k", type=float, default=10.0)
     ap.add_argument("--nu", type=float, default=2.0)
     ap.add_argument("--out", default=None, help="directory for per-config result files")

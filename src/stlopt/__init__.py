@@ -45,13 +45,10 @@ from .semantics import (
     time_robustness_plus,
 )
 from .aggregators import (
-    agm_aggregators,
     agm_and,
     agm_or,
-    new_aggregators,
     new_and,
     new_or,
-    smooth_aggregators,
     smooth_max,
     smooth_min,
     softmax_lse,

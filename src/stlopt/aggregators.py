@@ -1,7 +1,9 @@
 """Smooth and averaging replacements for min/max over robustness values.
 
-All aggregators accept a non-empty sequence of reals and return a float.
-Every exponential is max-shifted so that inputs up to |v| = 1e6 with scale
+Every aggregator reduces the last axis of its input: a non-empty 1-D
+sequence gives a float, and a stacked block of rows gives the array of
+per-row results, each equal to what the row alone would give.  Every
+exponential is max-shifted so that inputs up to |v| = 1e6 with scale
 factors up to 1e3 neither overflow nor collapse to NaN.
 """
 
@@ -16,41 +18,40 @@ _AGM_TOL = 1e-9
 
 def _as_array(values) -> np.ndarray:
     v = np.asarray(values, dtype=float)
-    if v.ndim != 1 or v.size == 0:
-        raise ValueError("aggregator input must be a non-empty 1-D sequence")
+    if v.ndim == 0 or v.size == 0:
+        raise ValueError("aggregator input must be a non-empty sequence or block of rows")
     return v
 
 
-def softmax_lse(values, k: float) -> float:
+def _result(r):
+    return float(r) if np.ndim(r) == 0 else r
+
+
+def softmax_lse(values, k: float):
     """(1/k) * ln sum_i exp(k*v_i); over-approximates max by at most ln(m)/k."""
     v = _as_array(values)
-    shift = v.max()
-    return float(shift + np.log(np.sum(np.exp(k * (v - shift)))) / k)
+    shift = v.max(axis=-1, keepdims=True)
+    return _result(shift[..., 0] + np.log(np.sum(np.exp(k * (v - shift)), axis=-1)) / k)
 
 
-def softmin_lse(values, k: float) -> float:
+def softmin_lse(values, k: float):
     """Dual of softmax_lse: under-approximates min by at most ln(m)/k."""
     return -softmax_lse(-_as_array(values), k)
 
 
-def smooth_min(values, k: float) -> float:
+def smooth_min(values, k: float):
     """-(1/k) * ln sum_i exp(-k*v_i); always <= min(values)."""
     return softmin_lse(values, k)
 
 
-def smooth_max(values, k: float) -> float:
+def smooth_max(values, k: float):
     """Softmax-weighted mean sum v_i exp(k*v_i) / sum exp(k*v_i); always <= max(values)."""
     v = _as_array(values)
-    w = np.exp(k * (v - v.max()))
-    return float(np.sum(v * w) / np.sum(w))
+    w = np.exp(k * (v - v.max(axis=-1, keepdims=True)))
+    return _result(np.sum(v * w, axis=-1) / np.sum(w, axis=-1))
 
 
-def smooth_aggregators(values, k: float) -> tuple[float, float]:
-    """(smooth_min, smooth_max) pair; both under-approximate their exact counterpart."""
-    return smooth_min(values, k), smooth_max(values, k)
-
-
-def agm_and(values) -> float:
+def agm_and(values):
     """Geometric mean of (1+v_i) minus 1 when all v_i > 0, else mean of the violations.
 
     Inputs must already be normalized to [-1, 1].  A zero argument counts as
@@ -60,21 +61,18 @@ def agm_and(values) -> float:
     if np.any(v < -1 - _AGM_TOL) or np.any(v > 1 + _AGM_TOL):
         raise AgmDomainError(f"agm input out of [-1, 1]: {v[np.abs(v) > 1].tolist()}")
     v = np.clip(v, -1.0, 1.0)
-    if np.all(v > 0):
-        return float(np.expm1(np.mean(np.log1p(v))))
-    return float(np.mean(np.minimum(v, 0.0)))
+    with np.errstate(divide="ignore"):  # log1p(-1) only in rows of the violation branch
+        geometric = np.expm1(np.mean(np.log1p(v), axis=-1))
+    violation = np.mean(np.minimum(v, 0.0), axis=-1)
+    return _result(np.where(np.all(v > 0, axis=-1), geometric, violation))
 
 
-def agm_or(values) -> float:
+def agm_or(values):
     """Dual: -agm_and(-v)."""
     return -agm_and(-_as_array(values))
 
 
-def agm_aggregators(values) -> tuple[float, float]:
-    return agm_and(values), agm_or(values)
-
-
-def new_and(values, nu: float) -> float:
+def new_and(values, nu: float):
     """Scale-invariant weighted mean that tends to min(values) as nu grows.
 
     With r_min = min(v) and r~_i = v_i / r_min the weights are
@@ -82,20 +80,16 @@ def new_and(values, nu: float) -> float:
     the result is sum v_i w_i / sum w_i, and exactly 0 when r_min == 0.
     """
     v = _as_array(values)
-    r_min = v.min()
-    if r_min == 0.0:
-        return 0.0
-    with np.errstate(over="ignore"):
+    r_min = v.min(axis=-1, keepdims=True)
+    # rows with r_min == 0 divide by zero here; their result is replaced below
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         r_tilde = v / r_min
-        exponents = (1.0 + nu) * r_tilde if r_min < 0 else -nu * r_tilde
-    w = np.exp(exponents - exponents.max())
-    return float(np.sum(v * w) / np.sum(w))
+        exponents = np.where(r_min < 0, (1.0 + nu) * r_tilde, -nu * r_tilde)
+        w = np.exp(exponents - exponents.max(axis=-1, keepdims=True))
+        weighted = np.sum(v * w, axis=-1) / np.sum(w, axis=-1)
+    return _result(np.where(r_min[..., 0] == 0.0, 0.0, weighted))
 
 
-def new_or(values, nu: float) -> float:
+def new_or(values, nu: float):
     """Dual: -new_and(-v, nu)."""
     return -new_and(-_as_array(values), nu)
-
-
-def new_aggregators(values, nu: float) -> tuple[float, float]:
-    return new_and(values, nu), new_or(values, nu)

@@ -15,7 +15,8 @@ from .exceptions import StlError
 from .harness import ExperimentConfig, emit_results, load_task, run_experiment, summary_dict
 from .parser import parse_formula
 from .properties import run_property_suite
-from .semantics import MetricConfig, evaluate, satisfies
+from .optim.driver import METHODS
+from .semantics import METRIC_KINDS, MetricConfig, evaluate, satisfies
 from .task import task_to_json
 from .trace import load_trace_csv
 
@@ -23,6 +24,9 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_EVAL = 2
 EXIT_PROPERTIES = 3
+
+# the semantics `bench` can optimize: every kind but time robustness
+BENCH_METRICS = tuple(k for k in METRIC_KINDS if k != "time")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -38,11 +42,7 @@ def _build_parser() -> _Parser:
     p_eval = sub.add_parser("eval", help="evaluate a formula on a trace")
     p_eval.add_argument("--formula", required=True, help="formula text or a file containing it")
     p_eval.add_argument("--trace", required=True, help="trace CSV (time,<ch1>,...)")
-    p_eval.add_argument(
-        "--metric",
-        required=True,
-        choices=["space", "time", "lse", "smooth", "agm", "avg", "new"],
-    )
+    p_eval.add_argument("--metric", required=True, choices=METRIC_KINDS)
     p_eval.add_argument("--time", type=float, required=True, help="evaluation time in seconds")
     p_eval.add_argument("--k", type=float, default=10.0)
     p_eval.add_argument("--nu", type=float, default=2.0)
@@ -54,12 +54,8 @@ def _build_parser() -> _Parser:
 
     p_bench = sub.add_parser("bench", help="run a built-in benchmark")
     p_bench.add_argument("task", choices=["eq2"])
-    p_bench.add_argument("--method", choices=["bo", "cmaes", "random"], default="bo")
-    p_bench.add_argument(
-        "--metric",
-        choices=["space", "lse", "smooth", "agm", "avg", "new"],
-        default="new",
-    )
+    p_bench.add_argument("--method", choices=sorted(METHODS), default="bo")
+    p_bench.add_argument("--metric", choices=BENCH_METRICS, default="new")
     p_bench.add_argument("--budget", type=int, default=60)
     p_bench.add_argument("--seeds", default="1", help="seed count N (0..N-1) or comma list")
     p_bench.add_argument("--k", type=float, default=10.0)

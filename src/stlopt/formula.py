@@ -46,7 +46,10 @@ class Pred(Formula):
             raise ValueError(f"comparison must be one of {COMPARISONS}")
 
     def margin(self, value: float) -> float:
-        """Signed satisfaction margin: positive iff the comparison holds strictly."""
+        """Signed satisfaction margin: positive iff the comparison holds strictly.
+
+        Like holds, applies elementwise to an array of samples.
+        """
         if self.comparison in (">", ">="):
             return value - self.threshold
         return self.threshold - value
@@ -103,37 +106,30 @@ class Until(Formula):
     rhs: Formula
 
 
+def children(f: Formula) -> tuple[Formula, ...]:
+    """Direct subformulas of f, left to right."""
+    if isinstance(f, Pred):
+        return ()
+    if isinstance(f, (Not, Globally, Eventually)):
+        return (f.child,)
+    if isinstance(f, (And, Or)):
+        return f.args
+    if isinstance(f, Until):
+        return (f.lhs, f.rhs)
+    raise TypeError(f"not a formula node: {f!r}")
+
+
 def horizon(f: Formula) -> float:
     """Minimal look-ahead H so that evaluating f at t needs samples only in [t, t+H]."""
-    if isinstance(f, Pred):
-        return 0.0
-    if isinstance(f, Not):
-        return horizon(f.child)
-    if isinstance(f, (And, Or)):
-        return max(horizon(a) for a in f.args)
-    if isinstance(f, (Globally, Eventually)):
-        return f.interval.b + horizon(f.child)
-    if isinstance(f, Until):
-        return f.interval.b + max(horizon(f.lhs), horizon(f.rhs))
-    raise TypeError(f"not a formula node: {f!r}")
+    own = f.interval.b if isinstance(f, (Globally, Eventually, Until)) else 0.0
+    return own + max(map(horizon, children(f)), default=0.0)
 
 
 def channels(f: Formula) -> set[str]:
     """All channel names referenced by predicates in f."""
     if isinstance(f, Pred):
         return {f.channel}
-    if isinstance(f, Not):
-        return channels(f.child)
-    if isinstance(f, (And, Or)):
-        out: set[str] = set()
-        for a in f.args:
-            out |= channels(a)
-        return out
-    if isinstance(f, (Globally, Eventually)):
-        return channels(f.child)
-    if isinstance(f, Until):
-        return channels(f.lhs) | channels(f.rhs)
-    raise TypeError(f"not a formula node: {f!r}")
+    return set().union(*map(channels, children(f)))
 
 
 def _num(v: float) -> str:

@@ -10,9 +10,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import StlError
-from .optim.driver import RunRecord, optimize
+from .optim.driver import METHODS, RunRecord, optimize
 from .semantics import MetricConfig
 from .task import (
+    PARAM_NAMES,
     TaskSpec,
     TrajectoryParams,
     benchmark_eq2,
@@ -35,7 +36,7 @@ class ExperimentConfig:
     output_dir: str | None = None
 
     def __post_init__(self):
-        if self.method not in ("bo", "cmaes", "random"):
+        if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
         if self.budget < 1:
             raise ValueError("budget must be at least 1")
@@ -162,7 +163,7 @@ def emit_results(result: ExperimentResult, out_dir: str) -> dict[str, str]:
 
     try:
         with open(paths["runs"], "w", encoding="utf-8") as fh:
-            names = ",".join(task.param_names)
+            names = ",".join(PARAM_NAMES)
             fh.write(f"seed,eval,{names},robustness,satisfied,best_so_far\n")
             for s in result.per_seed:
                 for r in s.records:

@@ -24,11 +24,6 @@ class Bounds:
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
 
-    @classmethod
-    def from_pairs(cls, pairs) -> "Bounds":
-        arr = np.asarray(pairs, dtype=float)
-        return cls(arr[:, 0], arr[:, 1])
-
     @property
     def n(self) -> int:
         return self.lower.size
@@ -44,9 +39,6 @@ class Bounds:
     def contains(self, x, tol: float = 0.0) -> bool:
         x = np.asarray(x, dtype=float)
         return bool(np.all(x >= self.lower - tol) and np.all(x <= self.upper + tol))
-
-    def clip(self, x) -> np.ndarray:
-        return np.clip(np.asarray(x, dtype=float), self.lower, self.upper)
 
     def to_unit(self, x) -> np.ndarray:
         return (np.asarray(x, dtype=float) - self.lower) / self.width

@@ -11,8 +11,6 @@ class RandomSearch:
     def __init__(self, bounds: Bounds, seed: int = 0):
         self.bounds = bounds
         self.rng = np.random.default_rng(seed)
-        self.x: list[np.ndarray] = []
-        self.y: list[float] = []
 
     def ask(self) -> list[np.ndarray]:
         return [self.bounds.sample(self.rng)]
@@ -20,8 +18,6 @@ class RandomSearch:
     def tell(self, points, values) -> None:
         if len(points) != len(values):
             raise ValueError(f"got {len(points)} points but {len(values)} values")
-        for p, v in zip(points, values):
+        for v in values:
             if not np.isfinite(v):
                 raise ValueError("objective values must be finite")
-            self.x.append(np.asarray(p, dtype=float))
-            self.y.append(float(v))

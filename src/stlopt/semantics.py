@@ -1,21 +1,38 @@
 """Boolean satisfaction and the seven quantitative robustness semantics.
 
-All evaluators share one recursion parameterized by a conjunction/disjunction
-aggregator pair.  Negation is threaded through as a polarity flag: predicates
-negate their margin and the aggregator roles swap.  For min/max, LSE, AGM and
-the scale-invariant weighted-average aggregators this is identical to the
+One bottom-up walker evaluates every semantics.  Asked for a node over a
+contiguous range of sample indices, it returns the node's value at each of
+them and asks each child only for the range that node needs, as in Donzé,
+Ferrère & Maler, "Efficient Robust Monitoring for STL" (CAV 2013).
+Predicates read a column slice, And/Or stack their children along a last
+axis and reduce it, G and F reduce a sliding window over the child's
+values, and Until reduces, for each window offset, the prefix of its left
+operand together with its right operand.  Window offsets come from
+window_indices once per temporal node: on a uniform grid they are the same
+at every index.  A semantics is a predicate map plus a conjunction/
+disjunction pair that reduces the last axis of an array; the Boolean oracle
+is the same walk over +-1 predicate values with min/max.
+
+Negation is threaded through as a polarity flag: predicates negate their
+margin and the aggregator roles swap.  For min/max, LSE, AGM and the
+scale-invariant weighted-average aggregators this is identical to the
 rule r(!phi) = -r(phi) because each disjunction aggregator is the exact dual
 of its conjunction partner.  The smooth pair is deliberately not dual (both
 members under-approximate), and the polarity trick is what keeps the smooth
-value below the space value on every formula, negations included.
+value below the space value on every formula, negations included.  The
+averaging semantics negates the value instead: its temporal steps have no
+dual.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import aggregators as agg
 from .exceptions import (
@@ -34,6 +51,7 @@ from .formula import (
     Pred,
     Until,
     channels,
+    children,
     horizon,
 )
 from .trace import GRID_TOL, Trace, window_indices
@@ -71,7 +89,6 @@ class MetricConfig:
 @dataclass(frozen=True)
 class RobustnessValue:
     value: float
-    satisfied_hint: bool | None = None
 
 
 @dataclass(frozen=True)
@@ -93,8 +110,71 @@ def _check_preconditions(f: Formula, x: Trace, t: float) -> int:
     return k0
 
 
-def _grid_time(x: Trace, k: int) -> float:
-    return x.t0 + k * x.dt
+# The walker -----------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Semantics:
+    """What one semantics does at each node; the walker does the rest.
+
+    pred maps a predicate and a slice of its channel to values; conj and
+    disj reduce the last axis of an array.  always and eventually, when set,
+    reduce the windows of G and F instead of conj and disj, and polar=False
+    negates values instead of using the polarity flag.
+    """
+
+    pred: Callable[[Pred, np.ndarray], np.ndarray]
+    conj: Callable[[np.ndarray], np.ndarray]
+    disj: Callable[[np.ndarray], np.ndarray]
+    always: Callable[[np.ndarray], np.ndarray] | None = None
+    eventually: Callable[[np.ndarray], np.ndarray] | None = None
+    polar: bool = True
+
+
+def _walk(f: Formula, x: Trace, lo: int, hi: int, sem: _Semantics, positive=True) -> np.ndarray:
+    """Values of f (negated when not positive) at sample indices lo..hi."""
+    if isinstance(f, Pred):
+        v = sem.pred(f, x.column(f.channel)[lo : hi + 1])
+        return v if positive else -v
+    if isinstance(f, Not):
+        if sem.polar:
+            return _walk(f.child, x, lo, hi, sem, not positive)
+        return -_walk(f.child, x, lo, hi, sem, positive)
+    conj, disj = (sem.conj, sem.disj) if positive else (sem.disj, sem.conj)
+    if isinstance(f, (And, Or)):
+        block = np.stack([_walk(a, x, lo, hi, sem, positive) for a in f.args], axis=-1)
+        return conj(block) if isinstance(f, And) else disj(block)
+    if not isinstance(f, (Globally, Eventually, Until)):
+        raise TypeError(f"not a formula node: {f!r}")
+    # offsets are the same at every index; the last index's window is the
+    # first to run past the trace end, so it is the one that must raise
+    win = window_indices(x, x.t0 + hi * x.dt, f.interval)
+    da, db = int(win[0]) - hi, int(win[-1]) - hi
+    if isinstance(f, Until):
+        lhs = _walk(f.lhs, x, lo, hi + db, sem, positive)
+        rhs = _walk(f.rhs, x, lo + da, hi + db, sem, positive)
+        n = hi - lo + 1
+        # prefix[i, d - da]: lhs over lo+i .. lo+i+d
+        prefix = np.stack(
+            [conj(sliding_window_view(lhs, d + 1)[:n]) for d in range(da, db + 1)], axis=-1
+        )
+        pairs = np.stack([sliding_window_view(rhs, db - da + 1), prefix], axis=-1)
+        return disj(conj(pairs))
+    windows = sliding_window_view(_walk(f.child, x, lo + da, hi + db, sem, positive), db - da + 1)
+    if isinstance(f, Globally):
+        return (sem.always or conj)(windows)
+    return (sem.eventually or disj)(windows)
+
+
+def _value(f: Formula, x: Trace, t: float, sem: _Semantics) -> float:
+    k0 = _check_preconditions(f, x, t)
+    return float(_walk(f, x, k0, k0, sem)[0])
+
+
+_min = partial(np.min, axis=-1)
+_max = partial(np.max, axis=-1)
+_BOOLEAN = _Semantics(lambda p, column: np.where(p.holds(column), 1.0, -1.0), _min, _max)
+_SPACE = _Semantics(Pred.margin, _min, _max)
 
 
 # Boolean oracle ---------------------------------------------------------
@@ -102,127 +182,37 @@ def _grid_time(x: Trace, k: int) -> float:
 
 def satisfies(f: Formula, x: Trace, t: float) -> bool:
     """Classical discrete-time STL satisfaction at grid time t."""
-    k0 = _check_preconditions(f, x, t)
-    return _sat(f, x, k0)
+    return _value(f, x, t, _BOOLEAN) > 0
 
 
-def _sat(f: Formula, x: Trace, k: int) -> bool:
-    if isinstance(f, Pred):
-        return f.holds(x.value(f.channel, k))
-    if isinstance(f, Not):
-        return not _sat(f.child, x, k)
-    if isinstance(f, And):
-        return all(_sat(a, x, k) for a in f.args)
-    if isinstance(f, Or):
-        return any(_sat(a, x, k) for a in f.args)
-    if isinstance(f, Globally):
-        win = window_indices(x, _grid_time(x, k), f.interval)
-        return all(_sat(f.child, x, int(j)) for j in win)
-    if isinstance(f, Eventually):
-        win = window_indices(x, _grid_time(x, k), f.interval)
-        return any(_sat(f.child, x, int(j)) for j in win)
-    if isinstance(f, Until):
-        win = window_indices(x, _grid_time(x, k), f.interval)
-        for j in win:
-            if _sat(f.rhs, x, int(j)) and all(
-                _sat(f.lhs, x, k1) for k1 in range(k, int(j) + 1)
-            ):
-                return True
-        return False
-    raise TypeError(f"not a formula node: {f!r}")
-
-
-# Generic quantitative recursion -----------------------------------------
-
-
-def _rho(f, x, k, and_agg, or_agg, pred_value, positive):
-    if isinstance(f, Pred):
-        v = pred_value(f, x, k)
-        return v if positive else -v
-    if isinstance(f, Not):
-        return _rho(f.child, x, k, and_agg, or_agg, pred_value, not positive)
-    conj = and_agg if positive else or_agg
-    disj = or_agg if positive else and_agg
-    if isinstance(f, And):
-        return conj([_rho(a, x, k, and_agg, or_agg, pred_value, positive) for a in f.args])
-    if isinstance(f, Or):
-        return disj([_rho(a, x, k, and_agg, or_agg, pred_value, positive) for a in f.args])
-    if isinstance(f, Globally):
-        win = window_indices(x, _grid_time(x, k), f.interval)
-        return conj(
-            [_rho(f.child, x, int(j), and_agg, or_agg, pred_value, positive) for j in win]
-        )
-    if isinstance(f, Eventually):
-        win = window_indices(x, _grid_time(x, k), f.interval)
-        return disj(
-            [_rho(f.child, x, int(j), and_agg, or_agg, pred_value, positive) for j in win]
-        )
-    if isinstance(f, Until):
-        win = window_indices(x, _grid_time(x, k), f.interval)
-        outer = []
-        for j in win:
-            prefix = conj(
-                [
-                    _rho(f.lhs, x, k1, and_agg, or_agg, pred_value, positive)
-                    for k1 in range(k, int(j) + 1)
-                ]
-            )
-            rhs_val = _rho(f.rhs, x, int(j), and_agg, or_agg, pred_value, positive)
-            outer.append(conj([rhs_val, prefix]))
-        return disj(outer)
-    raise TypeError(f"not a formula node: {f!r}")
-
-
-def _space_pred(f: Pred, x: Trace, k: int) -> float:
-    return f.margin(x.value(f.channel, k))
+# Quantitative semantics -------------------------------------------------
 
 
 def space_robustness(f: Formula, x: Trace, t: float) -> float:
     """Classical min/max robustness; sign certifies Boolean satisfaction."""
-    k0 = _check_preconditions(f, x, t)
-    return _rho(f, x, k0, min, max, _space_pred, True)
+    return _value(f, x, t, _SPACE)
 
 
 def lse_robustness(f: Formula, x: Trace, t: float, k: float) -> float:
     """Log-sum-exp smoothing of the space recursion; smooth but not sound."""
-    k0 = _check_preconditions(f, x, t)
-    return _rho(
-        f,
-        x,
-        k0,
-        lambda vs: agg.softmin_lse(vs, k),
-        lambda vs: agg.softmax_lse(vs, k),
-        _space_pred,
-        True,
+    sem = _Semantics(
+        Pred.margin, lambda v: agg.softmin_lse(v, k), lambda v: agg.softmax_lse(v, k)
     )
+    return _value(f, x, t, sem)
 
 
 def smooth_robustness(f: Formula, x: Trace, t: float, k: float) -> float:
     """Under-approximating smoothing: never exceeds the space robustness."""
-    k0 = _check_preconditions(f, x, t)
-    return _rho(
-        f,
-        x,
-        k0,
-        lambda vs: agg.smooth_min(vs, k),
-        lambda vs: agg.smooth_max(vs, k),
-        _space_pred,
-        True,
+    sem = _Semantics(
+        Pred.margin, lambda v: agg.smooth_min(v, k), lambda v: agg.smooth_max(v, k)
     )
+    return _value(f, x, t, sem)
 
 
 def new_robustness(f: Formula, x: Trace, t: float, nu: float) -> float:
     """Scale-invariant weighted-average semantics; sign matches space robustness."""
-    k0 = _check_preconditions(f, x, t)
-    return _rho(
-        f,
-        x,
-        k0,
-        lambda vs: agg.new_and(vs, nu),
-        lambda vs: agg.new_or(vs, nu),
-        _space_pred,
-        True,
-    )
+    sem = _Semantics(Pred.margin, lambda v: agg.new_and(v, nu), lambda v: agg.new_or(v, nu))
+    return _value(f, x, t, sem)
 
 
 def agm_robustness(f: Formula, x: Trace, t: float, scales: dict[str, float]) -> float:
@@ -234,34 +224,36 @@ def agm_robustness(f: Formula, x: Trace, t: float, scales: dict[str, float]) -> 
         if scale <= 0:
             raise ValueError(f"agm scale for {name!r} must be positive")
 
-    def pred_value(p: Pred, x_: Trace, k_: int) -> float:
-        return float(np.clip(p.margin(x_.value(p.channel, k_)) / scales[p.channel], -1.0, 1.0))
+    def pred(p: Pred, column: np.ndarray) -> np.ndarray:
+        return np.clip(p.margin(column) / scales[p.channel], -1.0, 1.0)
 
-    k0 = _check_preconditions(f, x, t)
-    return _rho(f, x, k0, agg.agm_and, agg.agm_or, pred_value, True)
+    return _value(f, x, t, _Semantics(pred, agg.agm_and, agg.agm_or))
 
 
 # Averaging semantics ------------------------------------------------------
 
 
 def _validate_avg(f: Formula, inside_temporal: bool = False) -> None:
-    if isinstance(f, Pred):
-        return
-    if isinstance(f, Not):
-        _validate_avg(f.child, inside_temporal)
-        return
-    if isinstance(f, (And, Or)):
-        for a in f.args:
-            _validate_avg(a, inside_temporal)
-        return
     if isinstance(f, Until):
         raise AvgSemanticsError("until unsupported by avg semantics")
-    if isinstance(f, (Globally, Eventually)):
-        if inside_temporal:
-            raise AvgSemanticsError("nested temporal unsupported by avg semantics")
-        _validate_avg(f.child, True)
-        return
-    raise TypeError(f"not a formula node: {f!r}")
+    temporal = isinstance(f, (Globally, Eventually))
+    if temporal and inside_temporal:
+        raise AvgSemanticsError("nested temporal unsupported by avg semantics")
+    for child in children(f):
+        _validate_avg(child, inside_temporal or temporal)
+
+
+def _avg_eventually(windows: np.ndarray) -> np.ndarray:
+    """Per window: mean of the positive values, or the maximum if none is."""
+    return np.array([np.mean(w[w > 0]) if np.any(w > 0) else w.max() for w in windows])
+
+
+def _avg_always(windows: np.ndarray) -> np.ndarray:
+    """Per window: mean of the non-positive values, or the minimum if none is."""
+    return np.array([np.mean(w[w <= 0]) if np.any(w <= 0) else w.min() for w in windows])
+
+
+_AVG = _Semantics(Pred.margin, _min, _max, _avg_always, _avg_eventually, polar=False)
 
 
 def avg_robustness(f: Formula, x: Trace, t: float) -> float:
@@ -270,28 +262,7 @@ def avg_robustness(f: Formula, x: Trace, t: float) -> float:
     Temporal operators may wrap only Boolean combinations of predicates.
     """
     _validate_avg(f)
-    k0 = _check_preconditions(f, x, t)
-    return _avg(f, x, k0)
-
-
-def _avg(f: Formula, x: Trace, k: int) -> float:
-    if isinstance(f, Pred):
-        return _space_pred(f, x, k)
-    if isinstance(f, Not):
-        return -_avg(f.child, x, k)
-    if isinstance(f, And):
-        return min(_avg(a, x, k) for a in f.args)
-    if isinstance(f, Or):
-        return max(_avg(a, x, k) for a in f.args)
-    win = window_indices(x, _grid_time(x, k), f.interval)
-    w = [_avg(f.child, x, int(j)) for j in win]
-    if isinstance(f, Eventually):
-        positive = [v for v in w if v > 0]
-        return float(np.mean(positive)) if positive else max(w)
-    if isinstance(f, Globally):
-        violations = [v for v in w if v <= 0]
-        return float(np.mean(violations)) if violations else min(w)
-    raise TypeError(f"not a formula node: {f!r}")
+    return _value(f, x, t, _AVG)
 
 
 # Time robustness ----------------------------------------------------------
@@ -303,18 +274,15 @@ def time_robustness_plus(f: Formula, x: Trace, t: float) -> TimeRobustness:
     The scan saturates at the last shift for which the horizon still fits in
     the trace; saturation is reported through the truncated flag.
     """
-    base = satisfies(f, x, t)
-    chi = 1 if base else -1
+    k0 = _check_preconditions(f, x, t)
     h = horizon(f)
-    d_max = 0.0
-    truncated = True
-    j = 1
-    while t + j * x.dt + h <= x.end_time + GRID_TOL:
-        if satisfies(f, x, t + j * x.dt) != base:
-            truncated = False
-            break
-        d_max = j * x.dt
-        j += 1
+    shifts = np.arange(1, x.n_samples - k0)
+    last = int(np.count_nonzero(t + shifts * x.dt + h <= x.end_time + GRID_TOL))
+    verdicts = _walk(f, x, k0, k0 + last, _BOOLEAN) > 0
+    changed = np.flatnonzero(verdicts != verdicts[0])
+    truncated = changed.size == 0
+    d_max = (last if truncated else int(changed[0]) - 1) * x.dt
+    chi = 1 if verdicts[0] else -1
     return TimeRobustness(chi * d_max, chi, truncated)
 
 

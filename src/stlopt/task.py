@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .formula import And, Eventually, Formula, Globally, Interval, Not, Or, Pred, Until, horizon
+from .formula import Eventually, Formula, Globally, Interval, Until, children, horizon
 from .optim.bounds import Bounds
 from .parser import parse_formula
 from .semantics import MetricConfig, evaluate, satisfies
@@ -74,10 +74,6 @@ class TaskSpec:
             raise ValueError("sample_rate must be positive")
         if horizon(self.formula) > 3 * self.duration_range[1] + GRID_TOL:
             raise ValueError("formula horizon exceeds the longest possible trajectory")
-
-    @property
-    def param_names(self) -> tuple[str, ...]:
-        return PARAM_NAMES
 
 
 def build_trajectory(params: TrajectoryParams, sample_rate: float, home) -> Trace:
@@ -154,19 +150,10 @@ def benchmark_eq2() -> TaskSpec:
 
 def _min_coverage(f: Formula) -> float:
     """Shortest trace duration for which every temporal window still holds a
-    sample; the horizon recursion with each window's lower bound instead of
-    its upper one."""
-    if isinstance(f, Pred):
-        return 0.0
-    if isinstance(f, Not):
-        return _min_coverage(f.child)
-    if isinstance(f, (And, Or)):
-        return max(_min_coverage(a) for a in f.args)
-    if isinstance(f, (Globally, Eventually)):
-        return f.interval.a + _min_coverage(f.child)
-    if isinstance(f, Until):
-        return f.interval.a + max(_min_coverage(f.lhs), _min_coverage(f.rhs))
-    raise TypeError(f"not a formula node: {f!r}")
+    sample; the horizon fold with each window's lower bound instead of its
+    upper one."""
+    own = f.interval.a if isinstance(f, (Globally, Eventually, Until)) else 0.0
+    return own + max(map(_min_coverage, children(f)), default=0.0)
 
 
 def _pad_to_horizon(trace: Trace, needed_end: float) -> Trace:

@@ -40,6 +40,8 @@ class Trace:
             raise ValueError(
                 f"{samples.shape[1]} columns for {len(self.channels)} channels"
             )
+        if not np.all(np.isfinite(samples)):
+            raise ValueError("samples must be finite (no NaN or infinity)")
         samples.setflags(write=False)
         object.__setattr__(self, "samples", samples)
         object.__setattr__(self, "channels", tuple(self.channels))
@@ -117,6 +119,9 @@ def load_trace_csv(path: str) -> Trace:
             raise TraceError(f"{path}: {exc}") from None
     if data.shape[0] < 1 or data.shape[1] != len(names):
         raise TraceError(f"{path}: row width does not match header")
+    bad = ~np.isfinite(data).all(axis=1)
+    if bad.any():
+        raise TraceError(f"{path}: non-finite value in data row {int(np.argmax(bad)) + 1}")
     times = data[:, 0]
     if data.shape[0] == 1:
         dt = 1.0  # single sample: period is irrelevant but must be positive

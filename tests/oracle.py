@@ -1,11 +1,17 @@
-"""Independent brute-force STL evaluators used as test oracles.
+"""Independent STL evaluators used as test oracles.
 
-Deliberately naive: enumerate every sample time by scanning the whole
-grid, recompute margins inline, and use Python's min/max directly.  Kept
-separate from the library recursion so the two can disagree.
+brute_space and brute_sat are deliberately naive: enumerate every sample
+time by scanning the whole grid, recompute margins inline, and use Python's
+min/max directly.  They share no code with the library, so the two can
+disagree.  The ref_* functions below are the per-sample reference for all
+the library's semantics.
 """
 
-from stlopt.formula import And, Eventually, Globally, Not, Or, Pred, Until
+import numpy as np
+
+from stlopt import aggregators as agg
+from stlopt.formula import And, Eventually, Globally, Not, Or, Pred, Until, horizon
+from stlopt.trace import GRID_TOL, window_indices
 
 EPS = 1e-9
 
@@ -95,3 +101,125 @@ def _sat_at(f, trace, k):
                 return True
         return False
     raise TypeError(f)
+
+
+# Per-sample reference for the library's semantics -------------------------
+#
+# The library evaluates every semantics with one bottom-up walker over index
+# ranges.  This is the recursion it replaced: one sample index at a time,
+# aggregators called on Python lists, time robustness as one Boolean
+# evaluation per shift.  The walker must reproduce it bit for bit.
+
+
+def _win(x, k, interval):
+    return [int(j) for j in window_indices(x, x.t0 + k * x.dt, interval)]
+
+
+def _ref_sat(f, x, k):
+    if isinstance(f, Pred):
+        return f.holds(x.value(f.channel, k))
+    if isinstance(f, Not):
+        return not _ref_sat(f.child, x, k)
+    if isinstance(f, And):
+        return all(_ref_sat(a, x, k) for a in f.args)
+    if isinstance(f, Or):
+        return any(_ref_sat(a, x, k) for a in f.args)
+    if isinstance(f, Globally):
+        return all(_ref_sat(f.child, x, j) for j in _win(x, k, f.interval))
+    if isinstance(f, Eventually):
+        return any(_ref_sat(f.child, x, j) for j in _win(x, k, f.interval))
+    if isinstance(f, Until):
+        return any(
+            _ref_sat(f.rhs, x, j) and all(_ref_sat(f.lhs, x, i) for i in range(k, j + 1))
+            for j in _win(x, k, f.interval)
+        )
+    raise TypeError(f)
+
+
+def _ref_rho(f, x, k, and_agg, or_agg, pred_value, positive):
+    if isinstance(f, Pred):
+        v = pred_value(f, x, k)
+        return v if positive else -v
+    if isinstance(f, Not):
+        return _ref_rho(f.child, x, k, and_agg, or_agg, pred_value, not positive)
+    conj = and_agg if positive else or_agg
+    disj = or_agg if positive else and_agg
+
+    def rho(g, i):
+        return _ref_rho(g, x, i, and_agg, or_agg, pred_value, positive)
+
+    if isinstance(f, And):
+        return conj([rho(a, k) for a in f.args])
+    if isinstance(f, Or):
+        return disj([rho(a, k) for a in f.args])
+    if isinstance(f, Globally):
+        return conj([rho(f.child, j) for j in _win(x, k, f.interval)])
+    if isinstance(f, Eventually):
+        return disj([rho(f.child, j) for j in _win(x, k, f.interval)])
+    if isinstance(f, Until):
+        outer = []
+        for j in _win(x, k, f.interval):
+            prefix = conj([rho(f.lhs, i) for i in range(k, j + 1)])
+            outer.append(conj([rho(f.rhs, j), prefix]))
+        return disj(outer)
+    raise TypeError(f)
+
+
+def _ref_avg(f, x, k):
+    if isinstance(f, Pred):
+        return f.margin(x.value(f.channel, k))
+    if isinstance(f, Not):
+        return -_ref_avg(f.child, x, k)
+    if isinstance(f, And):
+        return min(_ref_avg(a, x, k) for a in f.args)
+    if isinstance(f, Or):
+        return max(_ref_avg(a, x, k) for a in f.args)
+    w = [_ref_avg(f.child, x, j) for j in _win(x, k, f.interval)]
+    if isinstance(f, Eventually):
+        positive = [v for v in w if v > 0]
+        return float(np.mean(positive)) if positive else max(w)
+    if isinstance(f, Globally):
+        violations = [v for v in w if v <= 0]
+        return float(np.mean(violations)) if violations else min(w)
+    raise TypeError(f)
+
+
+def ref_satisfies(f, x, t):
+    return _ref_sat(f, x, x.time_index(t))
+
+
+def ref_time(f, x, t):
+    """(value, chi, truncated) of the right time robustness, shift by shift."""
+    base = ref_satisfies(f, x, t)
+    chi = 1 if base else -1
+    h = horizon(f)
+    d_max = 0.0
+    j = 1
+    while t + j * x.dt + h <= x.end_time + GRID_TOL:
+        if ref_satisfies(f, x, t + j * x.dt) != base:
+            return chi * d_max, chi, False
+        d_max = j * x.dt
+        j += 1
+    return chi * d_max, chi, True
+
+
+def ref_robustness(kind, f, x, t, k=10.0, nu=2.0, scales=None):
+    """Value of one quantitative semantics other than time at grid time t."""
+    k0 = x.time_index(t)
+    if kind == "avg":
+        return _ref_avg(f, x, k0)
+
+    def margin(p, x_, i):
+        return p.margin(x_.value(p.channel, i))
+
+    def agm_margin(p, x_, i):
+        return float(np.clip(margin(p, x_, i) / scales[p.channel], -1.0, 1.0))
+
+    and_agg, or_agg, pred = {
+        "space": (min, max, margin),
+        "lse": (lambda v: agg.softmin_lse(v, k), lambda v: agg.softmax_lse(v, k), margin),
+        "smooth": (lambda v: agg.smooth_min(v, k), lambda v: agg.smooth_max(v, k), margin),
+        "agm": (agg.agm_and, agg.agm_or, agm_margin),
+        "new": (lambda v: agg.new_and(v, nu), lambda v: agg.new_or(v, nu), margin),
+    }[kind]
+    return _ref_rho(f, x, k0, and_agg, or_agg, pred, True)

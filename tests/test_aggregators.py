@@ -7,13 +7,10 @@ from hypothesis import strategies as st
 
 from stlopt import (
     AgmDomainError,
-    agm_aggregators,
     agm_and,
     agm_or,
-    new_aggregators,
     new_and,
     new_or,
-    smooth_aggregators,
     smooth_max,
     smooth_min,
     softmax_lse,
@@ -58,13 +55,28 @@ def test_new_closed_forms():
     assert new_and([2.0, 2.0], 1.0) == pytest.approx(2.0, abs=1e-12)
 
 
-def test_pair_helpers_match_components():
-    v = [0.3, -0.2, 0.9]
-    k, nu = 3.0, 2.0
-    assert smooth_aggregators(v, k) == (smooth_min(v, k), smooth_max(v, k))
-    scaled = [0.3, -0.2, 0.9]
-    assert agm_aggregators(scaled) == (agm_and(scaled), agm_or(scaled))
-    assert new_aggregators(v, nu) == (new_and(v, nu), new_or(v, nu))
+_AGGREGATORS = (
+    lambda v: softmax_lse(v, 3.0),
+    lambda v: softmin_lse(v, 3.0),
+    lambda v: smooth_min(v, 10.0),
+    lambda v: smooth_max(v, 10.0),
+    agm_and,
+    agm_or,
+    lambda v: new_and(v, 2.0),
+    lambda v: new_or(v, 2.0),
+)
+
+
+@pytest.mark.parametrize("fn", _AGGREGATORS)
+def test_block_rows_equal_single_rows(fn):
+    rng = np.random.default_rng(3)
+    for _ in range(50):
+        block = rng.uniform(-1, 1, size=(int(rng.integers(1, 6)), int(rng.integers(1, 12))))
+        block[rng.random(block.shape) < 0.1] = 0.0  # zero minima take new_and's exact-0 branch
+        got = fn(block)
+        assert isinstance(got, np.ndarray) and got.shape == block.shape[:1]
+        assert got.tolist() == [fn(row) for row in block]
+        assert all(isinstance(fn(row), float) for row in block)
 
 
 def test_empty_input_rejected():

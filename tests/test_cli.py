@@ -59,6 +59,15 @@ def test_eval_horizon_error_exit_2(trace_csv):
                  "--metric", "space", "--time", "0"]) == 2
 
 
+@pytest.mark.parametrize("samples", [("0.1", "nan", "0.3"), ("nan", "0.1", "0.3")])
+def test_eval_non_finite_trace_exit_2(tmp_path, capsys, samples):
+    p = tmp_path / "nan.csv"
+    p.write_text("time,x\n" + "".join(f"{i}.0,{v}\n" for i, v in enumerate(samples)))
+    assert main(["eval", "--formula", "F[0,2](x > 0.2)", "--trace", str(p),
+                 "--metric", "space", "--time", "0"]) == 2
+    assert "non-finite" in capsys.readouterr().err
+
+
 def test_usage_error_exit_1():
     code, _, err = run_cli("eval", "--formula", "x > 0")
     assert code == 1

@@ -5,7 +5,7 @@ import pytest
 
 from stlopt import ExperimentConfig, MetricConfig, emit_results, run_experiment
 from stlopt.harness import load_task, summary_dict
-from stlopt.task import TrajectoryParams, build_trajectory
+from stlopt.task import PARAM_NAMES, TrajectoryParams, build_trajectory
 
 
 def small_config(**overrides):
@@ -73,7 +73,7 @@ def test_emit_results_files(tmp_path):
     assert len(lines) == 6 + 1  # budget rows plus header
     header = lines[0].split(",")
     assert header[:2] == ["seed", "eval"]
-    assert header[2:11] == list(load_task("eq2").param_names)
+    assert header[2:11] == list(PARAM_NAMES)
 
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["per_seed"][0]["sr"] == result.per_seed[0].sr

@@ -24,6 +24,7 @@ from stlopt import (
     time_robustness_plus,
 )
 from stlopt.properties import random_instance
+from stlopt.semantics import METRIC_KINDS
 
 from conftest import make_trace
 from oracle import brute_sat, brute_space
@@ -143,11 +144,10 @@ def test_time_robustness_examples():
     assert (r3.value, r3.chi, r3.truncated) == (0.5, 1, False)
 
 
-def test_evaluate_dispatch_and_hint():
+def test_evaluate_dispatch():
     tr = make_trace([0.5])
     out = evaluate(MetricConfig("space"), parse_formula("x > 0.4"), tr, 0.0)
     assert out.value == pytest.approx(0.1)
-    assert out.satisfied_hint is None
 
 
 def test_evaluate_matches_direct_functions():
@@ -208,3 +208,24 @@ def test_new_sign_matches_space(rng):
         n = new_robustness(f, tr, 0.0, 2.0)
         if abs(s) > 1e-9 and abs(n) > 1e-9:
             assert np.sign(s) == np.sign(n)
+
+
+_PROBES = {
+    # a missing channel behind a disjunct that already holds
+    "unknown-channel": ("x > 0 | q > 0", 1.0, UnknownChannelError),
+    # a window the grid skips behind a disjunct that already holds
+    "empty-window": ("x > 0 | G[1,2](x > 0)", 5.0, EmptyWindowError),
+}
+
+
+@pytest.mark.parametrize("probe", sorted(_PROBES))
+@pytest.mark.parametrize("kind", ["satisfies", *METRIC_KINDS])
+def test_every_semantics_raises_the_same_error(kind, probe):
+    text, dt, error = _PROBES[probe]
+    f = parse_formula(text)
+    tr = make_trace(np.ones(3), dt=dt)
+    with pytest.raises(error):
+        if kind == "satisfies":
+            satisfies(f, tr, 0.0)
+        else:
+            evaluate(MetricConfig(kind, agm_scales={"x": 1.0, "q": 1.0}), f, tr, 0.0)

@@ -25,6 +25,13 @@ def test_construction_invariants():
         Trace(("x", "y"), 0.0, 1.0, np.zeros((3, 1)))
 
 
+@pytest.mark.parametrize("values", [[0.1, np.nan, 0.3], [np.nan, 0.1, 0.3], [0.1, np.inf, 0.3]])
+def test_construction_rejects_non_finite_samples(values):
+    # NaN in the middle once gave F[0,2](x > 0.2) the value 0.1, satisfied
+    with pytest.raises(ValueError, match="finite"):
+        make_trace(values)
+
+
 def test_samples_are_frozen():
     tr = make_trace([1.0, 2.0])
     with pytest.raises(ValueError):
@@ -104,3 +111,11 @@ def test_csv_single_row(tmp_path):
     p.write_text("time,x\n0.0,1.5\n")
     tr = load_trace_csv(str(p))
     assert tr.n_samples == 1 and tr.value("x", 0) == 1.5
+
+
+@pytest.mark.parametrize("cells", [("0.1", "nan", "0.3"), ("nan", "0.1", "0.3"), ("0.1", "-inf", "0.3")])
+def test_csv_rejects_non_finite_samples(tmp_path, cells):
+    p = tmp_path / "nan.csv"
+    p.write_text("time,x\n" + "".join(f"{i}.0,{c}\n" for i, c in enumerate(cells)))
+    with pytest.raises(TraceError, match="non-finite value in data row"):
+        load_trace_csv(str(p))

@@ -1,0 +1,108 @@
+"""The range walker against the per-sample reference in oracle.py.
+
+Every semantics must give exactly (==) the value of the recursion it
+replaced: Boolean, space, time (value, chi, truncated), avg, lse, smooth,
+agm and new, on random formulas, on eq2 evaluation traces and on long
+traces with wide nested windows.
+"""
+
+import numpy as np
+import pytest
+
+from stlopt import (
+    Trace,
+    agm_robustness,
+    avg_robustness,
+    benchmark_eq2,
+    horizon,
+    lse_robustness,
+    new_robustness,
+    parse_formula,
+    satisfies,
+    smooth_robustness,
+    space_robustness,
+    time_robustness_plus,
+)
+from stlopt.properties import random_instance
+from stlopt.task import TrajectoryParams, _min_coverage, evaluation_trace
+
+from oracle import ref_robustness, ref_satisfies, ref_time
+
+K, NU = 10.0, 2.0
+
+
+def assert_matches_reference(f, x, t, scales, avg_ok):
+    assert satisfies(f, x, t) == ref_satisfies(f, x, t)
+    r = time_robustness_plus(f, x, t)
+    assert (r.value, r.chi, r.truncated) == ref_time(f, x, t)
+    got = {
+        "space": space_robustness(f, x, t),
+        "lse": lse_robustness(f, x, t, K),
+        "smooth": smooth_robustness(f, x, t, K),
+        "agm": agm_robustness(f, x, t, scales),
+        "new": new_robustness(f, x, t, NU),
+    }
+    if avg_ok:
+        got["avg"] = avg_robustness(f, x, t)
+    for kind, value in got.items():
+        assert value == ref_robustness(kind, f, x, t, K, NU, scales), kind
+
+
+def late_times(f, x, count):
+    """count grid times, the last one the latest at which f's horizon fits."""
+    last = x.n_samples - 1 - round(horizon(f) / x.dt)
+    return [x.t0 + k * x.dt for k in np.linspace(0, last, count).round().astype(int)]
+
+
+@pytest.mark.parametrize("avg_safe", [False, True])
+def test_random_instances(avg_safe):
+    rng = np.random.default_rng(2013 + avg_safe)
+    for _ in range(250):
+        f, x = random_instance(rng, avg_safe=avg_safe)
+        for t in late_times(f, x, 2):
+            assert_matches_reference(f, x, t, {"x": 2.0, "y": 2.0}, avg_safe)
+
+
+def test_eq2_evaluation_traces():
+    task = benchmark_eq2()
+    rng = np.random.default_rng(7)
+    # near the region centres the verdicts and the branches of agm and new vary
+    near = np.array([3.5, 5.5, 4.5, 0.25, 0.65, 0.6, 0.6, 0.75, 0.2])
+    verdicts = []
+    for i in range(60):
+        p = task.bounds.sample(rng)
+        if i % 2:
+            spread = np.array([0.5] * 3 + [0.03] * 6)
+            p = np.clip(near + spread * rng.standard_normal(9), task.bounds.lower, task.bounds.upper)
+        params = TrajectoryParams.from_vector(p)
+        if sum(params.durations) < _min_coverage(task.formula):
+            continue
+        x = evaluation_trace(task, params)
+        assert_matches_reference(task.formula, x, 0.0, {"x": 1.0, "y": 1.0}, True)
+        verdicts.append(satisfies(task.formula, x, 0.0))
+    assert len(verdicts) >= 40 and any(verdicts) and not all(verdicts)
+
+
+LONG_FORMULAS = (
+    ("G[0,1](F[0,0.25](x > 0.2))", False),
+    ("F[0,1](G[0,0.25](y < -0.2))", False),
+    ("(x > -0.5 U[0,0.6] y > 0.4)", False),
+    ("!(G[0.1,0.5](x > 0) & (y > 0.1 U[0.25,0.5] !(x < -0.3)))", False),
+    ("F[0,2](x > 0.4 & y > 0)", True),
+    ("G[0,2](x < 0.7 | y > -0.7) & !(F[0.5,1.5](y < -0.6))", True),
+)
+
+
+@pytest.mark.parametrize("text,avg_ok", LONG_FORMULAS)
+def test_long_traces_with_wide_windows(text, avg_ok):
+    f = parse_formula(text)
+    rng = np.random.default_rng(31)
+    n, dt = 401, 0.01
+    t = np.arange(n) * dt
+    freq = rng.uniform(0.5, 2.0, size=(2, 1))
+    samples = np.sin(2 * np.pi * freq * t + rng.uniform(0, 6, size=(2, 1))).T
+    x = Trace(("x", "y"), 0.0, dt, np.round(samples + 0.03 * rng.standard_normal((n, 2)), 6))
+    # late times keep the per-shift reference scan of time robustness short
+    last = n - 1 - round(horizon(f) / dt)
+    for k in (last - 30, last - 12, last):
+        assert_matches_reference(f, x, k * dt, {"x": 1.0, "y": 1.0}, avg_ok)
