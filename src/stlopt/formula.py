@@ -21,9 +21,9 @@ class Interval:
     b: float
 
     def __post_init__(self):
-        if self.a < 0:
+        if not self.a >= 0:  # written so that NaN fails too
             raise ValueError("interval lower bound must be non-negative")
-        if self.b <= self.a:
+        if not self.b > self.a:
             raise ValueError("interval upper bound must exceed lower bound")
 
 

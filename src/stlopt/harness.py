@@ -10,6 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import StlError
+from .jsonfields import integer, json_field, list_of, number, optional_text, text
 from .optim.driver import METHODS, RunRecord, optimize
 from .semantics import MetricConfig
 from .task import (
@@ -17,7 +18,7 @@ from .task import (
     TaskSpec,
     TrajectoryParams,
     benchmark_eq2,
-    build_trajectory,
+    evaluation_trace,
     load_task_file,
     objective_detail,
 )
@@ -45,23 +46,20 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, data: dict) -> "ExperimentConfig":
-        try:
-            metric = MetricConfig(
-                kind=data["metric"]["kind"],
-                k=float(data["metric"].get("k", 10.0)),
-                nu=float(data["metric"].get("nu", 2.0)),
-                agm_scales=data["metric"].get("agm_scales"),
-            )
-            return cls(
-                method=data["method"],
-                metric=metric,
-                budget=int(data.get("budget", 60)),
-                seeds=[int(s) for s in data["seeds"]],
-                task=data.get("task", "eq2"),
-                output_dir=data.get("output_dir"),
-            )
-        except KeyError as exc:
-            raise ValueError(f"missing config field: {exc.args[0]}") from None
+        metric = MetricConfig(
+            kind=json_field(data, "metric.kind", text),
+            k=json_field(data, "metric.k", number, 10.0),
+            nu=json_field(data, "metric.nu", number, 2.0),
+            agm_scales=json_field(data, "metric.agm_scales", default=None),
+        )
+        return cls(
+            method=json_field(data, "method", text),
+            metric=metric,
+            budget=json_field(data, "budget", integer, 60),
+            seeds=json_field(data, "seeds", list_of(integer)),
+            task=json_field(data, "task", text, "eq2"),
+            output_dir=json_field(data, "output_dir", optional_text, None),
+        )
 
     def to_json(self) -> dict:
         metric: dict = {"kind": self.metric.kind, "k": self.metric.k, "nu": self.metric.nu}
@@ -88,6 +86,7 @@ class SeedResult:
 @dataclass
 class ExperimentResult:
     config: ExperimentConfig
+    task: TaskSpec  # the task the runs scored, as loaded from config.task
     per_seed: list[SeedResult]
     mean_sr: float
     median_ts: float | None  # over satisfying seeds only
@@ -132,7 +131,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     mean_sr = float(np.mean([s.sr for s in per_seed]))
     ts_values = [s.ts for s in per_seed if s.ts is not None]
     median_ts = float(np.median(ts_values)) if ts_values else None
-    return ExperimentResult(cfg, per_seed, mean_sr, median_ts)
+    return ExperimentResult(cfg, task, per_seed, mean_sr, median_ts)
 
 
 def summary_dict(result: ExperimentResult) -> dict:
@@ -152,8 +151,9 @@ def summary_dict(result: ExperimentResult) -> dict:
 
 
 def emit_results(result: ExperimentResult, out_dir: str) -> dict[str, str]:
-    """Write runs.csv, summary.json and trace_best.csv; returns the paths."""
-    task = load_task(result.config.task)
+    """Write runs.csv, summary.json and trace_best.csv (the best parameters'
+    scored trace, held at the final pose through the formula horizon);
+    returns the paths."""
     os.makedirs(out_dir, exist_ok=True)
     paths = {
         "runs": os.path.join(out_dir, "runs.csv"),
@@ -180,10 +180,8 @@ def emit_results(result: ExperimentResult, out_dir: str) -> dict[str, str]:
         best_record = max(
             (r for s in result.per_seed for r in s.records), key=lambda r: r.value
         )
-        best_trace = build_trajectory(
-            TrajectoryParams.from_vector(best_record.params),
-            task.sample_rate,
-            task.home,
+        best_trace = evaluation_trace(
+            result.task, TrajectoryParams.from_vector(best_record.params)
         )
         save_trace_csv(best_trace, paths["trace_best"])
     except OSError as exc:

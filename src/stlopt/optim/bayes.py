@@ -4,14 +4,16 @@ The first ten proposals come from a coordinate-stratified (Latin hypercube)
 design.  Afterwards each ask runs one of two arms, both deterministic given
 the seed:
 
-* exploитation (default): a GP fitted to the incumbent's nearest history
+* exploitation (default): a GP fitted to the incumbent's nearest history
   points scores probe clouds at 0.5%/2%/6% box width around the incumbent;
   the posterior-mean argmax is proposed.  Plain EI over uniform probes
   random-walks in this 9-dimensional box (the satisfying region occupies
   ~1e-4 of it), so local model-guided refinement carries the budget.
 * exploration (after 8 non-improving evaluations): expected improvement
   over 2048 uniform probes plus 64 probes within +-1% box width of the
-  incumbent, scored by the global GP refitted at every tell.
+  incumbent, scored by a GP fitted to the whole history when this arm runs.
+
+No GP outlives the ask that fitted it.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ class BayesOpt:
         self._stall = 0
         self.x: list[np.ndarray] = []  # unit-box history
         self.y: list[float] = []
-        self._gp = None
 
     def _stratified_design(self, m: int) -> np.ndarray:
         # each coordinate visits every stratum exactly once, in shuffled order
@@ -54,8 +55,7 @@ class BayesOpt:
         return self.x[int(np.argmax(self.y))]
 
     def _explore(self) -> np.ndarray:
-        if self._gp is None:
-            self._gp = fit_gp_grid(np.array(self.x), np.array(self.y))
+        gp = fit_gp_grid(np.array(self.x), np.array(self.y))
         incumbent = self._incumbent()
         local = incumbent + self.rng.uniform(
             -LOCAL_FRAC, LOCAL_FRAC, size=(N_LOCAL, self.bounds.n)
@@ -63,7 +63,7 @@ class BayesOpt:
         candidates = np.vstack(
             [self.rng.uniform(size=(N_PROBES, self.bounds.n)), np.clip(local, 0.0, 1.0)]
         )
-        mean, var = gp_predict(self._gp, candidates)
+        mean, var = gp_predict(gp, candidates)
         best = max(self.y)
         ei = np.array(
             [expected_improvement(float(m), float(v), best) for m, v in zip(mean, var)]
@@ -118,5 +118,3 @@ class BayesOpt:
                 self._stall = 0
             self.x.append(self.bounds.to_unit(p))
             self.y.append(v)
-        if len(self.y) >= INIT_DESIGN:
-            self._gp = fit_gp_grid(np.array(self.x), np.array(self.y))

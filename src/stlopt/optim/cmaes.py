@@ -20,20 +20,12 @@ _EIG_FLOOR = 1e-12
 
 
 class CmaEs:
-    def __init__(
-        self,
-        bounds: Bounds,
-        sigma0: float = 0.3,
-        lam: int | None = None,
-        seed: int = 0,
-    ):
+    def __init__(self, bounds: Bounds, sigma0: float = 0.3, seed: int = 0):
         if sigma0 <= 0:
             raise ValueError("sigma0 must be positive")
         n = bounds.n
         self.bounds = bounds
-        self.lam = int(lam) if lam is not None else 4 + int(3 * math.log(n))
-        if self.lam < 2:
-            raise ValueError("population size must be at least 2")
+        self.lam = 4 + int(3 * math.log(n))
         self.mu = self.lam // 2
         raw = np.log((self.lam + 1) / 2) - np.log(np.arange(1, self.mu + 1))
         self.weights = raw / raw.sum()

@@ -26,9 +26,9 @@ class RunRecord:
     best_so_far: float = float("-inf")
 
 
-def make_optimizer(method: str, bounds: Bounds, seed: int, sigma0: float = 0.3):
+def make_optimizer(method: str, bounds: Bounds, seed: int):
     if method == "cmaes":
-        return CmaEs(bounds, sigma0=sigma0, seed=seed)
+        return CmaEs(bounds, seed=seed)
     if method == "bo":
         return BayesOpt(bounds, seed=seed)
     if method == "random":

@@ -26,7 +26,6 @@ class GpModel:
     x: np.ndarray  # (m, n) unit-box inputs
     y_mean: float
     y_std: float
-    y_standardized: np.ndarray
     lengthscale: float
     sigma_f2: float
     sigma_n2: float
@@ -75,7 +74,7 @@ def gp_fit(X, y, lengthscale: float, sigma_f2: float, sigma_n2: float) -> GpMode
                 ) from None
             noise = min(noise * 10.0, _NOISE_CEILING)
     alpha = cho_solve((L, True), ys, check_finite=False)
-    return GpModel(X, y_mean, y_std, ys, lengthscale, sigma_f2, noise, L, alpha)
+    return GpModel(X, y_mean, y_std, lengthscale, sigma_f2, noise, L, alpha)
 
 
 def gp_predict(model: GpModel, Xq) -> tuple[np.ndarray, np.ndarray]:
@@ -87,16 +86,6 @@ def gp_predict(model: GpModel, Xq) -> tuple[np.ndarray, np.ndarray]:
     var_s = model.sigma_f2 - np.sum(v * v, axis=0)
     var_s = np.maximum(var_s, 0.0)
     return model.y_mean + model.y_std * mean_s, (model.y_std**2) * var_s
-
-
-def log_marginal_likelihood(model: GpModel) -> float:
-    m = model.y_standardized.size
-    log_det_half = float(np.sum(np.log(np.diag(model.chol_lower))))
-    return float(
-        -0.5 * model.y_standardized @ model.alpha
-        - log_det_half
-        - 0.5 * m * math.log(2 * math.pi)
-    )
 
 
 def fit_gp_grid(X, y) -> GpModel:

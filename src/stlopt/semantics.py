@@ -76,14 +76,22 @@ class MetricConfig:
     def __post_init__(self):
         if self.kind not in METRIC_KINDS:
             raise ValueError(f"metric kind must be one of {METRIC_KINDS}")
-        if self.k <= 0:
-            raise ValueError("scale factor k must be positive")
-        if self.nu <= 0:
-            raise ValueError("scale factor nu must be positive")
+        if not _positive_finite(self.k):
+            raise ValueError(f"scale factor k must be positive and finite, got {self.k!r}")
+        if not _positive_finite(self.nu):
+            raise ValueError(f"scale factor nu must be positive and finite, got {self.nu!r}")
         if self.agm_scales is not None:
+            if not isinstance(self.agm_scales, dict):
+                raise ValueError("agm scales must map channel names to numbers")
             for name, scale in self.agm_scales.items():
-                if scale <= 0:
-                    raise ValueError(f"agm scale for {name!r} must be positive")
+                if not _positive_finite(scale):
+                    raise ValueError(
+                        f"agm scale for {name!r} must be positive and finite, got {scale!r}"
+                    )
+
+
+def _positive_finite(value) -> bool:
+    return isinstance(value, (int, float)) and 0 < value < math.inf
 
 
 @dataclass(frozen=True)

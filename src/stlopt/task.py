@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .formula import Eventually, Formula, Globally, Interval, Until, children, horizon
+from .jsonfields import json_field, list_of, number, optional_text, text
 from .optim.bounds import Bounds
 from .parser import parse_formula
 from .semantics import MetricConfig, evaluate, satisfies
@@ -225,34 +226,39 @@ def task_to_json(spec: TaskSpec) -> dict:
     }
 
 
-def task_from_json(data: dict) -> TaskSpec:
-    regions = tuple(
-        Region(
-            r["name"],
-            float(r["box"][0]),
-            float(r["box"][1]),
-            float(r["box"][2]),
-            float(r["box"][3]),
-            Interval(float(r["window"][0]), float(r["window"][1])),
-        )
-        for r in data["regions"]
+def _region_from_json(data) -> Region:
+    return Region(
+        json_field(data, "name", text),
+        *json_field(data, "box", list_of(number, 4)),
+        Interval(*json_field(data, "window", list_of(number, 2))),
     )
-    duration_range = tuple(float(v) for v in data["bounds"]["duration"])
-    workspace = data["bounds"].get("workspace", [WORKSPACE_LO, WORKSPACE_HI])
-    if "formula" in data and data["formula"]:
-        formula = parse_formula(data["formula"])
+
+
+def task_from_json(data: dict) -> TaskSpec:
+    regions = tuple(json_field(data, "regions", list_of(_region_from_json)))
+    duration_range = tuple(json_field(data, "bounds.duration", list_of(number, 2)))
+    workspace = json_field(
+        data, "bounds.workspace", list_of(number, 2), [WORKSPACE_LO, WORKSPACE_HI]
+    )
+    formula_text = json_field(data, "formula", optional_text, None)
+    if formula_text:
+        formula = parse_formula(formula_text)
     else:
         formula = parse_formula(" & ".join(region_formula_text(r) for r in regions))
     return TaskSpec(
         formula=formula,
-        bounds=_make_bounds(duration_range, float(workspace[0]), float(workspace[1])),
+        bounds=_make_bounds(duration_range, *workspace),
         regions=regions,
-        home=tuple(float(v) for v in data["home"]),
-        sample_rate=float(data["sample_rate"]),
+        home=tuple(json_field(data, "home", list_of(number, 2))),
+        sample_rate=json_field(data, "sample_rate", number),
         duration_range=duration_range,
     )
 
 
 def load_task_file(path: str) -> TaskSpec:
     with open(path, "r", encoding="utf-8") as fh:
-        return task_from_json(json.load(fh))
+        data = json.load(fh)
+    try:
+        return task_from_json(data)
+    except ValueError as exc:
+        raise ValueError(f"task file {path}: {exc}") from None

@@ -127,6 +127,51 @@ def test_optimize_bad_config_exit_1(tmp_path):
     assert main(["optimize", "--config", str(path)]) == 1
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--metric", "space", "--k", "nan"],
+        ["--metric", "space", "--nu", "inf"],
+        ["--metric", "agm", "--agm-scales", "[1]"],
+    ],
+)
+def test_eval_bad_metric_parameter_exit_1(trace_csv, capsys, flags):
+    code = main(["eval", "--formula", "x > 0", "--trace", trace_csv, "--time", "0", *flags])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("stlopt: config error:") and err.count("\n") == 1
+
+
+def _optimize_exit_and_error(tmp_path, capsys, cfg):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    code = main(["optimize", "--config", str(path)])
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    return code, err
+
+
+def test_optimize_metric_not_an_object_exit_1(tmp_path, capsys):
+    cfg = {"method": "random", "metric": "new", "budget": 2, "seeds": [0]}
+    code, err = _optimize_exit_and_error(tmp_path, capsys, cfg)
+    assert code == 1
+    assert "metric must be a JSON object" in err
+
+
+def test_optimize_task_without_bounds_exit_1(tmp_path, capsys):
+    from stlopt.task import benchmark_eq2, task_to_json
+
+    task = task_to_json(benchmark_eq2())
+    del task["bounds"]
+    task_path = tmp_path / "task.json"
+    task_path.write_text(json.dumps(task))
+    cfg = {"method": "random", "metric": {"kind": "space"}, "budget": 2, "seeds": [0],
+           "task": str(task_path)}
+    code, err = _optimize_exit_and_error(tmp_path, capsys, cfg)
+    assert code == 1
+    assert "missing config field: bounds" in err
+
+
 def test_check_properties_exit_0(capsys):
     assert main(["check-properties", "--samples", "80", "--seed", "42"]) == 0
     out = capsys.readouterr().out

@@ -23,6 +23,10 @@ def test_interval_rejects_bad_bounds():
         Interval(1.0, 1.0)
     with pytest.raises(ValueError, match="non-negative"):
         Interval(-1.0, 1.0)
+    with pytest.raises(ValueError, match="non-negative"):
+        Interval(float("nan"), 1.0)
+    with pytest.raises(ValueError, match="upper bound must exceed"):
+        Interval(0.0, float("nan"))
 
 
 def test_and_or_need_two_args():

@@ -5,7 +5,14 @@ import pytest
 
 from stlopt import ExperimentConfig, MetricConfig, emit_results, run_experiment
 from stlopt.harness import load_task, summary_dict
-from stlopt.task import PARAM_NAMES, TrajectoryParams, build_trajectory
+from stlopt.task import (
+    PARAM_NAMES,
+    TrajectoryParams,
+    build_trajectory,
+    evaluation_trace,
+    objective_detail,
+)
+from stlopt.trace import load_trace_csv
 
 
 def small_config(**overrides):
@@ -38,6 +45,23 @@ def test_config_json_roundtrip():
 def test_config_missing_field():
     with pytest.raises(ValueError, match="missing config field"):
         ExperimentConfig.from_json({"method": "bo"})
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda d: d.update(metric="new"), "metric must be a JSON object"),
+        (lambda d: d["metric"].update(k="10"), "metric.k: expected a finite number"),
+        (lambda d: d.update(budget=2.5), "budget: expected an integer"),
+        (lambda d: d.update(seeds=[0, "1"]), "seeds: item 1: expected an integer"),
+        (lambda d: d.update(task=None), "task: expected a string"),
+    ],
+)
+def test_config_json_names_the_failing_field(edit, message):
+    data = small_config().to_json()
+    edit(data)
+    with pytest.raises(ValueError, match=message):
+        ExperimentConfig.from_json(data)
 
 
 def test_load_task_unknown():
@@ -81,9 +105,26 @@ def test_emit_results_files(tmp_path):
     trace_lines = (tmp_path / "trace_best.csv").read_text().splitlines()
     best = max(result.per_seed[0].records, key=lambda r: r.value)
     params = TrajectoryParams.from_vector(best.params)
-    task = load_task("eq2")
-    expected = build_trajectory(params, task.sample_rate, task.home).n_samples
+    expected = evaluation_trace(load_task("eq2"), params).n_samples
     assert len(trace_lines) == expected + 1
+
+
+def test_trace_best_is_the_scored_trace(tmp_path):
+    # seed 1's best parameters total under the 15 s horizon, so the scored
+    # trace is the built one held at its final pose
+    result = run_experiment(small_config(budget=6, seeds=[1]))
+    emit_results(result, str(tmp_path))
+    best = max(result.per_seed[0].records, key=lambda r: r.value)
+    task = result.task
+    built = build_trajectory(
+        TrajectoryParams.from_vector(best.params), task.sample_rate, task.home
+    )
+    value, _, scored = objective_detail(task, result.config.metric, best.params)
+    assert value == best.value
+    assert scored.n_samples > built.n_samples
+    written = load_trace_csv(str(tmp_path / "trace_best.csv"))
+    assert written.n_samples == scored.n_samples
+    np.testing.assert_array_equal(written.samples, scored.samples)
 
 
 def test_summary_recomputable_from_runs_csv(tmp_path):

@@ -6,6 +6,7 @@ from stlopt.optim import (
     BayesOpt,
     Bounds,
     CmaEs,
+    GpModel,
     RandomSearch,
     expected_improvement,
     gp_fit,
@@ -178,6 +179,27 @@ def test_bayes_tell_validates():
     bo = BayesOpt(unit_box(2), seed=0)
     with pytest.raises(ValueError, match="points but"):
         bo.tell([np.zeros(2)], [])
+
+
+def test_bayes_fits_one_gp_per_model_guided_ask(monkeypatch):
+    import stlopt.optim.bayes as bayes
+
+    fits = []
+
+    def counted(X, y):
+        fits.append(len(y))
+        return fit_gp_grid(X, y)
+
+    monkeypatch.setattr(bayes, "fit_gp_grid", counted)
+    # a flat objective never improves, so the explore arm runs every 9th ask
+    records = optimize(lambda p: 0.0, unit_box(2), 30, "bo", seed=0)
+    assert len(records) == 30
+    assert fits == list(range(bayes.INIT_DESIGN, 30))
+
+    bo = BayesOpt(unit_box(2), seed=0)
+    for _ in range(bayes.INIT_DESIGN + 2):
+        bo.tell(bo.ask(), [0.0])
+    assert not any(isinstance(v, GpModel) for v in vars(bo).values())
 
 
 def test_random_search_deterministic():

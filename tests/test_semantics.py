@@ -175,6 +175,19 @@ def test_metric_config_validation():
         MetricConfig("new", nu=-1.0)
     with pytest.raises(ValueError):
         MetricConfig("agm", agm_scales={"x": 0.0})
+    nan, inf = float("nan"), float("inf")
+    for bad in (
+        dict(k=nan),
+        dict(k=inf),
+        dict(nu=nan),
+        dict(nu=-inf),
+        dict(agm_scales={"x": nan}),
+        dict(agm_scales={"x": inf}),
+        dict(agm_scales={"x": "1"}),
+        dict(agm_scales=[1.0]),
+    ):
+        with pytest.raises(ValueError):
+            MetricConfig("agm", **bad)
 
 
 def test_de_morgan_boolean(rng):

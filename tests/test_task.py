@@ -167,3 +167,21 @@ def test_task_json_formula_override():
     data = task_to_json(spec)
     data["formula"] = "F[1,2](x > 0.5)"
     assert task_from_json(data).formula == parse_formula("F[1,2](x > 0.5)")
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda d: d.pop("bounds"), "missing config field: bounds"),
+        (lambda d: d["bounds"].pop("duration"), "missing config field: bounds.duration"),
+        (lambda d: d.update(sample_rate="10"), "sample_rate: expected a finite number"),
+        (lambda d: d.update(home=[0.1, float("nan")]), "home: item 1: expected a finite number"),
+        (lambda d: d["regions"][1].pop("box"), "regions: item 1: missing config field: box"),
+        (lambda d: d.update(regions={}), "regions: expected a list"),
+    ],
+)
+def test_task_json_names_the_failing_field(edit, message):
+    data = task_to_json(benchmark_eq2())
+    edit(data)
+    with pytest.raises(ValueError, match=message):
+        task_from_json(data)
