@@ -2,8 +2,10 @@
 the expected-improvement acquisition.
 
 Inputs are expected in the unit box; outputs are standardized internally.
-Hyperparameters are chosen by log-marginal-likelihood over a fixed
-logarithmic grid, which keeps the fit deterministic.
+Hyperparameters are chosen by log-marginal-likelihood (Rasmussen &
+Williams, GPML eq. 5.8) over a fixed logarithmic grid, which keeps the fit
+deterministic.  The whole grid is scored from one eigendecomposition of the
+correlation matrix per lengthscale; only the chosen triple is factorized.
 """
 
 from __future__ import annotations
@@ -93,36 +95,29 @@ def fit_gp_grid(X, y) -> GpModel:
 
     sigma_f2 is relative to the standardized outputs (unit variance), so the
     grid spans 0.01 to 100 times the observed output variance.
+
+    Each lengthscale's correlation matrix R is eigendecomposed once,
+    R = Q diag(lam) Q^T, so K = sigma_f2 R + sigma_n2 I has eigenvalues
+    e = sigma_f2 lam + sigma_n2 and, with b = Q^T y, the LML (GPML eq. 5.8)
+    of every (sigma_f2, sigma_n2) pair is -1/2 sum(b^2 / e) - 1/2 sum(log e)
+    up to a constant.  A cell with some e <= 0 scores -inf.  The first
+    maximum in (lengthscale, sigma_f2, sigma_n2) order wins; only the chosen
+    triple is factorized, by gp_fit.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.asarray(y, dtype=float).ravel()
     ys, _, _ = _standardize(y)
     d2 = _sq_dists(X, X)
-    m = ys.size
-    eye = np.eye(m)
-    const = 0.5 * m * math.log(2 * math.pi)
-
-    best_lml = -math.inf
-    best = (float(_ELL_GRID[0]), float(_SF2_GRID[0]), float(_SN2_GRID[0]))
-    for ell in _ELL_GRID:
-        r = np.exp(-d2 / (2.0 * ell * ell))
-        for sf2 in _SF2_GRID:
-            sr = sf2 * r
-            for sn2 in _SN2_GRID:
-                try:
-                    L = np.linalg.cholesky(sr + sn2 * eye)
-                except np.linalg.LinAlgError:
-                    continue
-                alpha = cho_solve((L, True), ys, check_finite=False)
-                lml = (
-                    -0.5 * float(ys @ alpha)
-                    - float(np.sum(np.log(np.diag(L))))
-                    - const
-                )
-                if lml > best_lml:
-                    best_lml = lml
-                    best = (float(ell), float(sf2), float(sn2))
-    return gp_fit(X, y, *best)
+    lml = np.empty((_ELL_GRID.size, _SF2_GRID.size, _SN2_GRID.size))
+    for i, ell in enumerate(_ELL_GRID):
+        lam, Q = np.linalg.eigh(np.exp(-d2 / (2.0 * ell * ell)))
+        b2 = (Q.T @ ys) ** 2
+        e = _SF2_GRID[:, None, None] * lam + _SN2_GRID[:, None]  # (sf2, sn2, m)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            lml[i] = -0.5 * np.sum(b2 / e + np.log(e), axis=-1)
+        lml[i][np.any(e <= 0.0, axis=-1)] = -np.inf
+    i, j, k = np.unravel_index(np.argmax(lml), lml.shape)
+    return gp_fit(X, y, float(_ELL_GRID[i]), float(_SF2_GRID[j]), float(_SN2_GRID[k]))
 
 
 def _norm_cdf(z: float) -> float:

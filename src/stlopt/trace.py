@@ -70,7 +70,10 @@ class Trace:
         return float(self.column(channel)[k])
 
     def time_index(self, t: float) -> int:
-        """Grid index of time t; raises if t is off-grid or outside the trace."""
+        """Grid index of time t; raises if t is non-finite, off-grid or outside
+        the trace."""
+        if not math.isfinite(t):
+            raise UnalignedTimeError(f"time {t} is not finite")
         k = round((t - self.t0) / self.dt)
         if abs(t - (self.t0 + k * self.dt)) > GRID_TOL:
             raise UnalignedTimeError(

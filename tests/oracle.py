@@ -7,10 +7,14 @@ disagree.  The ref_* functions below are the per-sample reference for all
 the library's semantics.
 """
 
+import math
+
 import numpy as np
+from scipy.linalg import cho_solve
 
 from stlopt import aggregators as agg
 from stlopt.formula import And, Eventually, Globally, Not, Or, Pred, Until, horizon
+from stlopt.optim import gp
 from stlopt.trace import GRID_TOL, window_indices
 
 EPS = 1e-9
@@ -223,3 +227,29 @@ def ref_robustness(kind, f, x, t, k=10.0, nu=2.0, scales=None):
         "new": (lambda v: agg.new_and(v, nu), lambda v: agg.new_or(v, nu), margin),
     }[kind]
     return _ref_rho(f, x, k0, and_agg, or_agg, pred, True)
+
+
+def ref_gp_grid_lml(X, y):
+    """LML of every (lengthscale, sigma_f2, sigma_n2) cell of fit_gp_grid's
+    grid from one Cholesky factorization per cell; -inf where it fails."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    ys, _, _ = gp._standardize(np.asarray(y, dtype=float).ravel())
+    d2 = gp._sq_dists(X, X)
+    m = ys.size
+    eye = np.eye(m)
+    const = 0.5 * m * math.log(2 * math.pi)
+    lml = np.full((gp._ELL_GRID.size, gp._SF2_GRID.size, gp._SN2_GRID.size), -np.inf)
+    for i, ell in enumerate(gp._ELL_GRID):
+        r = np.exp(-d2 / (2.0 * ell * ell))
+        for j, sf2 in enumerate(gp._SF2_GRID):
+            sr = sf2 * r
+            for k, sn2 in enumerate(gp._SN2_GRID):
+                try:
+                    L = np.linalg.cholesky(sr + sn2 * eye)
+                except np.linalg.LinAlgError:
+                    continue
+                alpha = cho_solve((L, True), ys, check_finite=False)
+                lml[i, j, k] = (
+                    -0.5 * float(ys @ alpha) - float(np.sum(np.log(np.diag(L)))) - const
+                )
+    return lml

@@ -68,6 +68,15 @@ def test_eval_non_finite_trace_exit_2(tmp_path, capsys, samples):
     assert "non-finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("time", ["inf", "-inf", "nan"])
+def test_eval_non_finite_time_exit_2(trace_csv, capsys, time):
+    # inf once ended in an OverflowError traceback, NaN in exit 1
+    assert main(["eval", "--formula", "F[0,2](x > 0.3)", "--trace", trace_csv,
+                 "--metric", "space", f"--time={time}"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"stlopt: time {float(time)} is not finite\n"
+
+
 def test_usage_error_exit_1():
     code, _, err = run_cli("eval", "--formula", "x > 0")
     assert code == 1

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from stlopt import EvaluationError
+from stlopt import EvaluationError, MetricConfig
 from stlopt.optim import (
     BayesOpt,
     Bounds,
@@ -13,7 +13,10 @@ from stlopt.optim import (
     gp_predict,
     optimize,
 )
+from stlopt.optim import gp
 from stlopt.optim.gp import fit_gp_grid
+from stlopt.task import benchmark_eq2, objective
+from oracle import ref_gp_grid_lml
 
 
 def unit_box(n):
@@ -143,6 +146,98 @@ def test_gp_grid_fit_is_deterministic():
     a = fit_gp_grid(X, y)
     b = fit_gp_grid(X, y)
     assert (a.lengthscale, a.sigma_f2, a.sigma_n2) == (b.lengthscale, b.sigma_f2, b.sigma_n2)
+
+
+def _grid_cell(model):
+    """Indices of a fitted model's hyperparameters in fit_gp_grid's grid."""
+    return (
+        list(gp._ELL_GRID).index(model.lengthscale),
+        list(gp._SF2_GRID).index(model.sigma_f2),
+        list(gp._SN2_GRID).index(model.sigma_n2),
+    )
+
+
+def _reference_pick(X, y):
+    """The Cholesky reference LMLs and their first argmax, as a grid cell."""
+    ref = ref_gp_grid_lml(X, y)
+    return ref, tuple(int(i) for i in np.unravel_index(np.argmax(ref), ref.shape))
+
+
+def _grid_case(seed):
+    rng = np.random.default_rng(seed)
+    m, d = 1 + seed % 60, 1 + seed % 9
+    X = rng.uniform(size=(m, d))
+    y = rng.normal(size=m)
+    shape = seed % 4
+    if shape == 1:  # duplicated rows
+        X[m // 2 :] = X[: m - m // 2]
+    elif shape == 2:  # a cluster 1e-4 wide
+        X = rng.uniform(size=d) + 1e-4 * rng.uniform(size=(m, d))
+    elif shape == 3:  # constant outputs
+        y = np.full(m, 3.0)
+    return X, y
+
+
+def test_gp_grid_pick_matches_cholesky_reference():
+    # every m in 1..60 once; only cells whose reference LMLs tie may trade places
+    for seed in range(60):
+        X, y = _grid_case(seed)
+        ref, best = _reference_pick(X, y)
+        cell = _grid_cell(fit_gp_grid(X, y))
+        assert cell == best or abs(ref[cell] - ref[best]) <= 1e-9, (seed, cell, best)
+
+
+def test_bo_on_eq2_picks_the_cholesky_reference_cell(monkeypatch):
+    import stlopt.optim.bayes as bayes
+
+    spec, cfg = benchmark_eq2(), MetricConfig("new")
+    picks = []
+
+    def checked(X, y):
+        model = fit_gp_grid(X, y)
+        picks.append((_grid_cell(model), _reference_pick(X, y)[1]))
+        return model
+
+    monkeypatch.setattr(bayes, "fit_gp_grid", checked)
+    optimize(lambda p: objective(spec, cfg, p), spec.bounds, 60, "bo", seed=0)
+    assert len(picks) == 60 - bayes.INIT_DESIGN
+    assert all(cell == best for cell, best in picks)
+
+
+def test_gp_grid_fit_factorizes_once(monkeypatch):
+    shapes = []
+    cholesky = np.linalg.cholesky
+
+    def counted(a):
+        shapes.append(a.shape)
+        return cholesky(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counted)
+    rng = np.random.default_rng(2)
+    fit_gp_grid(rng.uniform(size=(40, 9)), rng.normal(size=40))
+    assert shapes == [(40, 40)]
+
+
+def test_gp_grid_skips_cells_that_are_not_positive_definite(monkeypatch):
+    rng = np.random.default_rng(3)
+    X, y = rng.uniform(size=(12, 2)), rng.normal(size=12)
+    eigh = np.linalg.eigh
+
+    def with_smallest_eigenvalue(value):
+        def fake(a):
+            lam, q = eigh(a)
+            lam[..., 0] = value
+            return lam, q
+
+        return fake
+
+    # K = sigma_f2 R + sigma_n2 I then has the eigenvalue sigma_n2 - 1e-5 sigma_f2
+    monkeypatch.setattr(np.linalg, "eigh", with_smallest_eigenvalue(-1e-5))
+    model = fit_gp_grid(X, y)
+    assert model.sigma_n2 > 1e-5 * model.sigma_f2
+    # no cell left: the first triple, as when every Cholesky failed
+    monkeypatch.setattr(np.linalg, "eigh", with_smallest_eigenvalue(-1.0))
+    assert _grid_cell(fit_gp_grid(X, y)) == (0, 0, 0)
 
 
 def test_expected_improvement_values():

@@ -5,14 +5,19 @@ from stlopt import (
     EmptyWindowError,
     Interval,
     InsufficientHorizonError,
+    MetricConfig,
     Trace,
     TraceError,
     UnalignedTimeError,
     UnknownChannelError,
+    evaluate,
     load_trace_csv,
+    parse_formula,
+    satisfies,
     save_trace_csv,
     window_indices,
 )
+from stlopt.semantics import METRIC_KINDS
 from conftest import make_trace
 
 
@@ -46,6 +51,20 @@ def test_time_index_alignment():
         tr.time_index(0.25)
     with pytest.raises(UnalignedTimeError, match="outside"):
         tr.time_index(7.0)
+
+
+@pytest.mark.parametrize("t", [np.inf, -np.inf, np.nan])
+def test_non_finite_time_rejected(t):
+    # inf once overflowed in round() and NaN surfaced as a plain ValueError
+    tr = make_trace([0.1, 0.2, 0.3], dt=0.5)
+    f = parse_formula("F[0,0.5](x > 0.2)")
+    with pytest.raises(UnalignedTimeError, match="not finite"):
+        tr.time_index(t)
+    with pytest.raises(UnalignedTimeError, match="not finite"):
+        satisfies(f, tr, t)
+    for kind in METRIC_KINDS:
+        with pytest.raises(UnalignedTimeError, match="not finite"):
+            evaluate(MetricConfig(kind, agm_scales={"x": 1.0}), f, tr, t)
 
 
 def test_unknown_channel():
