@@ -108,13 +108,9 @@ def _run_and_emit(cfg: ExperimentConfig, out_dir: str | None) -> int:
 
 
 def _cmd_optimize(args) -> int:
-    try:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        cfg = ExperimentConfig.from_json(data)
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
-        print(f"stlopt: config error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    with open(args.config, "r", encoding="utf-8") as fh:
+        data = json.load(fh)
+    cfg = ExperimentConfig.from_json(data)
     return _run_and_emit(cfg, args.out or cfg.output_dir)
 
 
@@ -122,18 +118,13 @@ def _cmd_bench(args) -> int:
     if args.dump_task:
         print(json.dumps(task_to_json(load_task(args.task)), indent=2, sort_keys=True))
         return EXIT_OK
-    try:
-        seeds = _parse_seeds(args.seeds)
-        cfg = ExperimentConfig(
-            method=args.method,
-            metric=MetricConfig(args.metric, k=args.k, nu=args.nu),
-            budget=args.budget,
-            seeds=seeds,
-            task=args.task,
-        )
-    except ValueError as exc:
-        print(f"stlopt: config error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    cfg = ExperimentConfig(
+        method=args.method,
+        metric=MetricConfig(args.metric, k=args.k, nu=args.nu),
+        budget=args.budget,
+        seeds=_parse_seeds(args.seeds),
+        task=args.task,
+    )
     return _run_and_emit(cfg, args.out)
 
 
@@ -156,7 +147,7 @@ def main(argv=None) -> int:
     except StlError as exc:
         print(f"stlopt: {exc}", file=sys.stderr)
         return EXIT_EVAL
-    except ValueError as exc:
+    except (ValueError, OverflowError, OSError) as exc:
         print(f"stlopt: config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -76,22 +76,18 @@ class MetricConfig:
     def __post_init__(self):
         if self.kind not in METRIC_KINDS:
             raise ValueError(f"metric kind must be one of {METRIC_KINDS}")
-        if not _positive_finite(self.k):
-            raise ValueError(f"scale factor k must be positive and finite, got {self.k!r}")
-        if not _positive_finite(self.nu):
-            raise ValueError(f"scale factor nu must be positive and finite, got {self.nu!r}")
+        _check_positive_finite("scale factor k", self.k)
+        _check_positive_finite("scale factor nu", self.nu)
         if self.agm_scales is not None:
             if not isinstance(self.agm_scales, dict):
                 raise ValueError("agm scales must map channel names to numbers")
             for name, scale in self.agm_scales.items():
-                if not _positive_finite(scale):
-                    raise ValueError(
-                        f"agm scale for {name!r} must be positive and finite, got {scale!r}"
-                    )
+                _check_positive_finite(f"agm scale for {name!r}", scale)
 
 
-def _positive_finite(value) -> bool:
-    return isinstance(value, (int, float)) and 0 < value < math.inf
+def _check_positive_finite(what: str, value) -> None:
+    if not (isinstance(value, (int, float)) and 0 < value < math.inf):
+        raise ValueError(f"{what} must be positive and finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -203,6 +199,7 @@ def space_robustness(f: Formula, x: Trace, t: float) -> float:
 
 def lse_robustness(f: Formula, x: Trace, t: float, k: float) -> float:
     """Log-sum-exp smoothing of the space recursion; smooth but not sound."""
+    _check_positive_finite("scale factor k", k)
     sem = _Semantics(
         Pred.margin, lambda v: agg.softmin_lse(v, k), lambda v: agg.softmax_lse(v, k)
     )
@@ -211,6 +208,7 @@ def lse_robustness(f: Formula, x: Trace, t: float, k: float) -> float:
 
 def smooth_robustness(f: Formula, x: Trace, t: float, k: float) -> float:
     """Under-approximating smoothing: never exceeds the space robustness."""
+    _check_positive_finite("scale factor k", k)
     sem = _Semantics(
         Pred.margin, lambda v: agg.smooth_min(v, k), lambda v: agg.smooth_max(v, k)
     )
@@ -219,6 +217,7 @@ def smooth_robustness(f: Formula, x: Trace, t: float, k: float) -> float:
 
 def new_robustness(f: Formula, x: Trace, t: float, nu: float) -> float:
     """Scale-invariant weighted-average semantics; sign matches space robustness."""
+    _check_positive_finite("scale factor nu", nu)
     sem = _Semantics(Pred.margin, lambda v: agg.new_and(v, nu), lambda v: agg.new_or(v, nu))
     return _value(f, x, t, sem)
 
@@ -229,8 +228,7 @@ def agm_robustness(f: Formula, x: Trace, t: float, scales: dict[str, float]) -> 
     if missing:
         raise MissingAgmScaleError(f"missing agm scale for channel {missing[0]!r}")
     for name, scale in scales.items():
-        if scale <= 0:
-            raise ValueError(f"agm scale for {name!r} must be positive")
+        _check_positive_finite(f"agm scale for {name!r}", scale)
 
     def pred(p: Pred, column: np.ndarray) -> np.ndarray:
         return np.clip(p.margin(column) / scales[p.channel], -1.0, 1.0)

@@ -38,10 +38,6 @@ class TrajectoryParams:
             ((float(p[3]), float(p[4])), (float(p[5]), float(p[6])), (float(p[7]), float(p[8]))),
         )
 
-    def to_vector(self) -> np.ndarray:
-        flat = list(self.durations) + [c for w in self.waypoints for c in w]
-        return np.array(flat, dtype=float)
-
 
 @dataclass(frozen=True)
 class Region:
@@ -98,15 +94,12 @@ def build_trajectory(params: TrajectoryParams, sample_rate: float, home) -> Trac
     time_scale = total / (steps * dt) if steps > 0 else 0.0
     cumulative = np.concatenate([[0.0], np.cumsum(durations)])
 
-    samples = np.empty((n, 2))
-    for k in range(n):
-        u = min(k * dt * time_scale, total)
-        seg = min(int(np.searchsorted(cumulative, u, side="right")), 3)
-        if seg == 0:
-            samples[k] = points[0]
-            continue
-        frac = (u - cumulative[seg - 1]) / durations[seg - 1]
-        samples[k] = points[seg - 1] + frac * (points[seg] - points[seg - 1])
+    u = np.arange(n) * dt * time_scale
+    # cumulative[0] = 0 <= u, so seg >= 1; only the last u can reach the end
+    # of the last segment, and that sample is set to w3 below
+    seg = np.minimum(np.searchsorted(cumulative, u, side="right"), 3)
+    frac = (u - cumulative[seg - 1]) / durations[seg - 1]
+    samples = points[seg - 1] + frac[:, None] * (points[seg] - points[seg - 1])
     if n > 1:
         samples[-1] = points[3]
     return Trace(("x", "y"), 0.0, dt, samples)

@@ -111,7 +111,11 @@ def window_indices(x: Trace, t: float, interval: Interval) -> np.ndarray:
 
 def load_trace_csv(path: str) -> Trace:
     """Read a 'time,<ch1>,<ch2>,...' CSV; rejects non-uniform sampling."""
-    with open(path, "r", encoding="utf-8") as fh:
+    try:
+        fh = open(path, "r", encoding="utf-8")
+    except OSError as exc:
+        raise TraceError(f"{path}: cannot read trace: {exc.strerror}") from None
+    with fh:
         header = fh.readline().strip()
         names = [c.strip() for c in header.split(",")]
         if not names or names[0] != "time" or len(names) < 2:

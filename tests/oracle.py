@@ -4,7 +4,8 @@ brute_space and brute_sat are deliberately naive: enumerate every sample
 time by scanning the whole grid, recompute margins inline, and use Python's
 min/max directly.  They share no code with the library, so the two can
 disagree.  The ref_* functions below are the per-sample reference for all
-the library's semantics.
+the library's semantics, for the GP hyperparameter grid and for the eq2
+trajectory builder.
 """
 
 import math
@@ -15,7 +16,8 @@ from scipy.linalg import cho_solve
 from stlopt import aggregators as agg
 from stlopt.formula import And, Eventually, Globally, Not, Or, Pred, Until, horizon
 from stlopt.optim import gp
-from stlopt.trace import GRID_TOL, window_indices
+from stlopt.task import WORKSPACE_HI, WORKSPACE_LO
+from stlopt.trace import GRID_TOL, Trace, window_indices
 
 EPS = 1e-9
 
@@ -253,3 +255,36 @@ def ref_gp_grid_lml(X, y):
                     -0.5 * float(ys @ alpha) - float(np.sum(np.log(np.diag(L)))) - const
                 )
     return lml
+
+
+def ref_build_trajectory(params, sample_rate, home):
+    """build_trajectory as one searchsorted and one interpolation per sample;
+    the array version must reproduce it bit for bit."""
+    if sample_rate <= 0:
+        raise ValueError("sample_rate must be positive")
+    durations = np.asarray(params.durations, dtype=float)
+    if np.any(durations <= 0):
+        raise ValueError(f"duration below minimum: {durations.tolist()}")
+    points = np.vstack([np.asarray(home, dtype=float), np.asarray(params.waypoints, dtype=float)])
+    if np.any(points < WORKSPACE_LO) or np.any(points > WORKSPACE_HI):
+        raise ValueError("waypoint outside the unit workspace")
+
+    total = float(durations.sum())
+    dt = 1.0 / sample_rate
+    steps = int(round(total * sample_rate))
+    n = steps + 1
+    time_scale = total / (steps * dt) if steps > 0 else 0.0
+    cumulative = np.concatenate([[0.0], np.cumsum(durations)])
+
+    samples = np.empty((n, 2))
+    for k in range(n):
+        u = min(k * dt * time_scale, total)
+        seg = min(int(np.searchsorted(cumulative, u, side="right")), 3)
+        if seg == 0:
+            samples[k] = points[0]
+            continue
+        frac = (u - cumulative[seg - 1]) / durations[seg - 1]
+        samples[k] = points[seg - 1] + frac * (points[seg] - points[seg - 1])
+    if n > 1:
+        samples[-1] = points[3]
+    return Trace(("x", "y"), 0.0, dt, samples)

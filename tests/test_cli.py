@@ -181,6 +181,55 @@ def test_optimize_task_without_bounds_exit_1(tmp_path, capsys):
     assert "missing config field: bounds" in err
 
 
+@pytest.mark.parametrize("which", ["missing", "directory"])
+def test_eval_unreadable_trace_exit_2(tmp_path, capsys, which):
+    path = tmp_path / "nope.csv"
+    if which == "directory":
+        path.mkdir()
+    code = main(["eval", "--formula", "x > 0", "--trace", str(path),
+                 "--metric", "space", "--time", "0"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"stlopt: {path}: cannot read trace:") and err.count("\n") == 1
+
+
+def test_eval_formula_directory_exit_1(tmp_path, trace_csv, capsys):
+    code = main(["eval", "--formula", str(tmp_path), "--trace", trace_csv,
+                 "--metric", "space", "--time", "0"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("stlopt: config error:") and "Is a directory" in err
+    assert err.count("\n") == 1
+
+
+def test_optimize_task_directory_exit_1(tmp_path, capsys):
+    cfg = {"method": "random", "metric": {"kind": "space"}, "budget": 2, "seeds": [0],
+           "task": str(tmp_path)}
+    code, err = _optimize_exit_and_error(tmp_path, capsys, cfg)
+    assert code == 1
+    assert err.startswith("stlopt: config error:") and "Is a directory" in err
+
+
+def test_optimize_overflowing_sample_rate_exit_1(tmp_path, capsys):
+    from stlopt.task import benchmark_eq2, task_to_json
+
+    task = task_to_json(benchmark_eq2())
+    task["sample_rate"] = 1e308  # finite, but sample_rate x duration is not
+    task_path = tmp_path / "task.json"
+    task_path.write_text(json.dumps(task))
+    cfg = {"method": "random", "metric": {"kind": "space"}, "budget": 2, "seeds": [0],
+           "task": str(task_path)}
+    code, err = _optimize_exit_and_error(tmp_path, capsys, cfg)
+    assert code == 1
+    assert err.startswith("stlopt: config error:")
+
+
+def test_bench_seed_count_overflow_exit_1(capsys):
+    assert main(["bench", "eq2", "--seeds", str(10**20)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("stlopt: config error:") and err.count("\n") == 1
+
+
 def test_check_properties_exit_0(capsys):
     assert main(["check-properties", "--samples", "80", "--seed", "42"]) == 0
     out = capsys.readouterr().out

@@ -190,6 +190,23 @@ def test_metric_config_validation():
             MetricConfig("agm", **bad)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda f, x, bad: lse_robustness(f, x, 0.0, bad),
+        lambda f, x, bad: smooth_robustness(f, x, 0.0, bad),
+        lambda f, x, bad: new_robustness(f, x, 0.0, bad),
+        lambda f, x, bad: agm_robustness(f, x, 0.0, {"x": bad}),
+    ],
+    ids=["lse", "smooth", "new", "agm"],
+)
+def test_direct_semantics_reject_bad_scale(call, bad):
+    # these once returned nan; only evaluate() was guarded, by MetricConfig
+    with pytest.raises(ValueError, match="must be positive and finite"):
+        call(parse_formula("F[0,1](x > 0.2)"), make_trace([0.1, 0.3]), bad)
+
+
 def test_de_morgan_boolean(rng):
     from stlopt import And, Or, Trace, horizon
     from stlopt.properties import random_formula

@@ -16,11 +16,14 @@ from stlopt import (
 )
 from stlopt.task import (
     TrajectoryParams,
+    _pad_to_horizon,
     evaluation_trace,
     load_task_file,
     task_from_json,
     task_to_json,
 )
+
+from oracle import ref_build_trajectory
 
 
 def centers_vector(spec, durations=(3.5, 5.5, 4.5)):
@@ -61,6 +64,77 @@ def test_builder_validation():
         build_trajectory(TrajectoryParams((0.0, 1.0, 1.0), ((0.5, 0.5),) * 3), 10.0, (0, 0))
     with pytest.raises(ValueError, match="workspace"):
         build_trajectory(TrajectoryParams((1.0, 1.0, 1.0), ((1.5, 0.5),) * 3), 10.0, (0, 0))
+
+
+def _assert_same_build(params, sample_rate, home):
+    got = build_trajectory(params, sample_rate, home)
+    ref = ref_build_trajectory(params, sample_rate, home)
+    assert got.dt == ref.dt
+    assert got.n_samples == ref.n_samples
+    assert np.array_equal(got.samples, ref.samples)
+
+
+# off-grid totals, a total under half a sample period (one sample), totals on
+# segment boundaries, waypoints on the workspace edge and repeated waypoints
+EDGE_BUILDS = [
+    ((1.03, 1.04, 1.06), ((0.2, 0.9), (0.8, 0.8), (0.7, 0.1)), (0.1, 0.1)),
+    ((0.01, 0.01, 0.02), ((0.2, 0.9), (0.8, 0.8), (0.7, 0.1)), (0.1, 0.1)),
+    ((0.001, 0.002, 0.003), ((1.0, 1.0), (0.0, 0.0), (1.0, 0.0)), (0.0, 1.0)),
+    ((1.0, 2.0, 3.0), ((0.0, 1.0), (1.0, 1.0), (1.0, 0.0)), (0.0, 0.0)),
+    ((2.5, 2.5, 5.0), ((0.3, 0.3),) * 3, (0.3, 0.3)),
+    ((10.0, 10.0, 10.0), ((0.5, 0.0), (0.75, 0.0), (1.0, 0.0)), (0.0, 0.0)),
+]
+
+
+@pytest.mark.parametrize("sample_rate", [10.0, 3.0, 7.3])
+def test_build_matches_per_sample_reference(sample_rate):
+    spec = benchmark_eq2()
+    rng = np.random.default_rng(2024)
+    for _ in range(500):
+        p = spec.bounds.lower + rng.uniform(size=9) * spec.bounds.width
+        _assert_same_build(TrajectoryParams.from_vector(p), sample_rate, spec.home)
+    for durations, waypoints, home in EDGE_BUILDS:
+        _assert_same_build(TrajectoryParams(durations, waypoints), sample_rate, home)
+
+
+def test_single_sample_when_total_under_half_a_period():
+    p = TrajectoryParams((0.01, 0.01, 0.02), ((0.2, 0.9), (0.8, 0.8), (0.7, 0.1)))
+    tr = build_trajectory(p, 10.0, (0.1, 0.1))
+    assert tr.n_samples == 1
+    assert np.array_equal(tr.samples, [[0.1, 0.1]])
+
+
+@pytest.mark.parametrize(
+    "durations, waypoints, home, sample_rate, message",
+    [
+        ((1.0, 1.0, 1.0), ((0.5, 0.5),) * 3, (0, 0), 0.0, "sample_rate"),
+        ((1.0, 1.0, 1.0), ((0.5, 0.5),) * 3, (0, 0), -3.0, "sample_rate"),
+        ((0.0, 1.0, 1.0), ((0.5, 0.5),) * 3, (0, 0), 10.0, "duration"),
+        ((1.0, -1.0, 1.0), ((0.5, 0.5),) * 3, (0, 0), 7.3, "duration"),
+        ((1.0, 1.0, 1.0), ((1.5, 0.5),) * 3, (0, 0), 10.0, "workspace"),
+        ((1.0, 1.0, 1.0), ((0.5, 0.5),) * 3, (0, -0.1), 3.0, "workspace"),
+    ],
+)
+def test_build_and_reference_reject_the_same_input(
+    durations, waypoints, home, sample_rate, message
+):
+    params = TrajectoryParams(durations, waypoints)
+    for build in (build_trajectory, ref_build_trajectory):
+        with pytest.raises(ValueError, match=message):
+            build(params, sample_rate, home)
+
+
+def test_evaluation_trace_pads_the_reference_build():
+    spec = benchmark_eq2()
+    rng = np.random.default_rng(7)
+    for _ in range(100):
+        p = spec.bounds.lower + rng.uniform(size=9) * spec.bounds.width
+        params = TrajectoryParams.from_vector(p)
+        got = evaluation_trace(spec, params)
+        built = ref_build_trajectory(params, spec.sample_rate, spec.home)
+        ref = _pad_to_horizon(built, horizon(spec.formula))
+        assert got.dt == ref.dt
+        assert np.array_equal(got.samples, ref.samples)
 
 
 def test_continuity_and_reset(rng):
