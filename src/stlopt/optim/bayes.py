@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from .bounds import Bounds
-from .gp import expected_improvement, fit_gp_grid, gp_predict
+from .gp import expected_improvement, fit_gp_grid, gp_mean, gp_predict
 
 INIT_DESIGN = 10
 N_PROBES = 2048
@@ -87,8 +87,7 @@ class BayesOpt:
             for r in EXPLOIT_RADII
         ]
         candidates = np.vstack(clouds)
-        mean, _ = gp_predict(local_gp, candidates)
-        return candidates[int(np.argmax(mean))]
+        return candidates[int(np.argmax(gp_mean(local_gp, candidates)))]
 
     def ask(self) -> list[np.ndarray]:
         if self._asked < len(self._design):

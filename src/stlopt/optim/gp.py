@@ -79,10 +79,19 @@ def gp_fit(X, y, lengthscale: float, sigma_f2: float, sigma_n2: float) -> GpMode
     return GpModel(X, y_mean, y_std, lengthscale, sigma_f2, noise, L, alpha)
 
 
+def _k_star(model: GpModel, Xq) -> np.ndarray:
+    Xq = np.atleast_2d(np.asarray(Xq, dtype=float))
+    return _kernel(_sq_dists(Xq, model.x), model.lengthscale, model.sigma_f2)
+
+
+def gp_mean(model: GpModel, Xq) -> np.ndarray:
+    """Posterior mean (de-standardized) at query points, without the variance."""
+    return model.y_mean + model.y_std * (_k_star(model, Xq) @ model.alpha)
+
+
 def gp_predict(model: GpModel, Xq) -> tuple[np.ndarray, np.ndarray]:
     """Posterior mean and variance (de-standardized) at query points."""
-    Xq = np.atleast_2d(np.asarray(Xq, dtype=float))
-    k_star = _kernel(_sq_dists(Xq, model.x), model.lengthscale, model.sigma_f2)
+    k_star = _k_star(model, Xq)
     mean_s = k_star @ model.alpha
     v = solve_triangular(model.chol_lower, k_star.T, lower=True, check_finite=False)
     var_s = model.sigma_f2 - np.sum(v * v, axis=0)

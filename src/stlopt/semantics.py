@@ -6,8 +6,9 @@ them and asks each child only for the range that node needs, as in Donzé,
 Ferrère & Maler, "Efficient Robust Monitoring for STL" (CAV 2013).
 Predicates read a column slice, And/Or stack their children along a last
 axis and reduce it, G and F reduce a sliding window over the child's
-values, and Until reduces, for each window offset, the prefix of its left
-operand together with its right operand.  Window offsets come from
+values, and Until takes one sliding window over its left operand as long
+as its widest prefix and, for each window offset, reduces that view's
+leading columns together with its right operand.  Window offsets come from
 window_indices once per temporal node: on a uniform grid they are the same
 at every index.  A semantics is a predicate map plus a conjunction/
 disjunction pair that reduces the last axis of an array; the Boolean oracle
@@ -157,11 +158,10 @@ def _walk(f: Formula, x: Trace, lo: int, hi: int, sem: _Semantics, positive=True
     if isinstance(f, Until):
         lhs = _walk(f.lhs, x, lo, hi + db, sem, positive)
         rhs = _walk(f.rhs, x, lo + da, hi + db, sem, positive)
-        n = hi - lo + 1
-        # prefix[i, d - da]: lhs over lo+i .. lo+i+d
-        prefix = np.stack(
-            [conj(sliding_window_view(lhs, d + 1)[:n]) for d in range(da, db + 1)], axis=-1
-        )
+        # spans[i] is lhs over lo+i .. lo+i+db (lhs covers lo..hi+db, so n
+        # rows); prefix[i, d - da] reduces its first d + 1 columns
+        spans = sliding_window_view(lhs, db + 1)
+        prefix = np.stack([conj(spans[:, : d + 1]) for d in range(da, db + 1)], axis=-1)
         pairs = np.stack([sliding_window_view(rhs, db - da + 1), prefix], axis=-1)
         return disj(conj(pairs))
     windows = sliding_window_view(_walk(f.child, x, lo + da, hi + db, sem, positive), db - da + 1)

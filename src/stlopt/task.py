@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .exceptions import ParseError
 from .formula import Eventually, Formula, Globally, Interval, Until, children, horizon
 from .jsonfields import json_field, list_of, number, optional_text, text
 from .optim.bounds import Bounds
@@ -235,7 +236,10 @@ def task_from_json(data: dict) -> TaskSpec:
     )
     formula_text = json_field(data, "formula", optional_text, None)
     if formula_text:
-        formula = parse_formula(formula_text)
+        try:
+            formula = parse_formula(formula_text)
+        except ParseError as exc:
+            raise ValueError(f"formula: {exc}") from None
     else:
         formula = parse_formula(" & ".join(region_formula_text(r) for r in regions))
     return TaskSpec(

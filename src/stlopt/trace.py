@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,10 +122,15 @@ def load_trace_csv(path: str) -> Trace:
         if not names or names[0] != "time" or len(names) < 2:
             raise TraceError(f"{path}: header must be 'time,<ch1>,...', got {header!r}")
         try:
-            data = np.loadtxt(fh, delimiter=",", ndmin=2)
+            with warnings.catch_warnings():
+                # loadtxt warns on an empty body; it is reported below instead
+                warnings.simplefilter("ignore", UserWarning)
+                data = np.loadtxt(fh, delimiter=",", ndmin=2)
         except ValueError as exc:
             raise TraceError(f"{path}: {exc}") from None
-    if data.shape[0] < 1 or data.shape[1] != len(names):
+    if data.shape[0] < 1:
+        raise TraceError(f"{path}: no data rows")
+    if data.shape[1] != len(names):
         raise TraceError(f"{path}: row width does not match header")
     bad = ~np.isfinite(data).all(axis=1)
     if bad.any():

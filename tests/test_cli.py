@@ -68,6 +68,15 @@ def test_eval_non_finite_trace_exit_2(tmp_path, capsys, samples):
     assert "non-finite" in capsys.readouterr().err
 
 
+def test_eval_trace_without_rows_exit_2(tmp_path):
+    p = tmp_path / "empty.csv"
+    p.write_text("time,x\n")
+    code, _, err = run_cli("eval", "--formula", "x > 0", "--trace", str(p),
+                           "--metric", "space", "--time", "0")
+    assert code == 2
+    assert err == f"stlopt: {p}: no data rows\n"
+
+
 @pytest.mark.parametrize("time", ["inf", "-inf", "nan"])
 def test_eval_non_finite_time_exit_2(trace_csv, capsys, time):
     # inf once ended in an OverflowError traceback, NaN in exit 1
@@ -222,6 +231,20 @@ def test_optimize_overflowing_sample_rate_exit_1(tmp_path, capsys):
     code, err = _optimize_exit_and_error(tmp_path, capsys, cfg)
     assert code == 1
     assert err.startswith("stlopt: config error:")
+
+
+def test_optimize_task_formula_parse_error_exit_1(tmp_path, capsys):
+    from stlopt.task import benchmark_eq2, task_to_json
+
+    task = task_to_json(benchmark_eq2())
+    task["formula"] = "F[0,1](x >"
+    task_path = tmp_path / "task.json"
+    task_path.write_text(json.dumps(task))
+    cfg = {"method": "random", "metric": {"kind": "space"}, "budget": 2, "seeds": [0],
+           "task": str(task_path)}
+    code, err = _optimize_exit_and_error(tmp_path, capsys, cfg)
+    assert code == 1
+    assert err.startswith(f"stlopt: config error: task file {task_path}: formula: 1:11:")
 
 
 def test_bench_seed_count_overflow_exit_1(capsys):

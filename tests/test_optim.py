@@ -297,6 +297,36 @@ def test_bayes_fits_one_gp_per_model_guided_ask(monkeypatch):
     assert not any(isinstance(v, GpModel) for v in vars(bo).values())
 
 
+def test_bayes_exploit_arm_reads_only_the_posterior_mean(monkeypatch):
+    import stlopt.optim.bayes as bayes
+
+    arms = []
+
+    def mean_only(model, Xq):
+        arms.append("exploit")
+        return gp.gp_mean(model, Xq)
+
+    def mean_and_variance(model, Xq):
+        arms.append("explore")
+        return gp.gp_predict(model, Xq)
+
+    monkeypatch.setattr(bayes, "gp_mean", mean_only)
+    monkeypatch.setattr(bayes, "gp_predict", mean_and_variance)
+    optimize(lambda p: 0.0, unit_box(2), 30, "bo", seed=0)
+    # a flat objective: every 8th model-guided ask follows 8 non-improving
+    # evaluations and explores
+    assert len(arms) == 30 - bayes.INIT_DESIGN
+    assert [i for i, arm in enumerate(arms) if arm == "explore"] == [0, 8, 16]
+
+
+def test_gp_mean_is_the_predicted_mean():
+    rng = np.random.default_rng(3)
+    X = rng.uniform(size=(20, 4))
+    model = fit_gp_grid(X, np.sin(3 * X.sum(axis=1)) + 0.1 * rng.normal(size=20))
+    Xq = rng.uniform(size=(256, 4))
+    assert np.array_equal(gp.gp_mean(model, Xq), gp_predict(model, Xq)[0])
+
+
 def test_random_search_deterministic():
     b = unit_box(3)
     a = RandomSearch(b, seed=5)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -123,6 +125,16 @@ def test_csv_rejects_bad_header(tmp_path):
     p.write_text("t,x\n0.0,1\n")
     with pytest.raises(TraceError, match="header"):
         load_trace_csv(str(p))
+
+
+@pytest.mark.parametrize("body", ["", "\n\n"])
+def test_csv_without_data_rows(tmp_path, body):
+    p = tmp_path / "empty.csv"
+    p.write_text("time,x\n" + body)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's empty-input warning must not escape
+        with pytest.raises(TraceError, match=r"empty\.csv: no data rows$"):
+            load_trace_csv(str(p))
 
 
 def test_csv_single_row(tmp_path):

@@ -8,6 +8,7 @@ traces with wide nested windows.
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from stlopt import (
     Trace,
@@ -19,6 +20,7 @@ from stlopt import (
     new_robustness,
     parse_formula,
     satisfies,
+    semantics,
     smooth_robustness,
     space_robustness,
     time_robustness_plus,
@@ -90,19 +92,44 @@ LONG_FORMULAS = (
     ("!(G[0.1,0.5](x > 0) & (y > 0.1 U[0.25,0.5] !(x < -0.3)))", False),
     ("F[0,2](x > 0.4 & y > 0)", True),
     ("G[0,2](x < 0.7 | y > -0.7) & !(F[0.5,1.5](y < -0.6))", True),
+    # Until with 101 and 151 window offsets, the first from da = 50; under G
+    # the Until node is asked for several rows, as in the time scan
+    ("(y > -0.6 U[0.5,1.5] x > 0.3)", False),
+    ("(x > -0.9 U[0,1.5] y > 0.4)", False),
+    ("G[0,0.05](!(y > -0.6 U[0.5,1.5] x > 0.3))", False),
 )
 
 
-@pytest.mark.parametrize("text,avg_ok", LONG_FORMULAS)
-def test_long_traces_with_wide_windows(text, avg_ok):
-    f = parse_formula(text)
+def long_trace():
+    """A 401-sample two-channel trace at dt = 0.01: noisy sines."""
     rng = np.random.default_rng(31)
     n, dt = 401, 0.01
     t = np.arange(n) * dt
     freq = rng.uniform(0.5, 2.0, size=(2, 1))
     samples = np.sin(2 * np.pi * freq * t + rng.uniform(0, 6, size=(2, 1))).T
-    x = Trace(("x", "y"), 0.0, dt, np.round(samples + 0.03 * rng.standard_normal((n, 2)), 6))
+    return Trace(("x", "y"), 0.0, dt, np.round(samples + 0.03 * rng.standard_normal((n, 2)), 6))
+
+
+@pytest.mark.parametrize("text,avg_ok", LONG_FORMULAS)
+def test_long_traces_with_wide_windows(text, avg_ok):
+    f = parse_formula(text)
+    x = long_trace()
     # late times keep the per-shift reference scan of time robustness short
-    last = n - 1 - round(horizon(f) / dt)
+    last = x.n_samples - 1 - round(horizon(f) / x.dt)
     for k in (last - 30, last - 12, last):
-        assert_matches_reference(f, x, k * dt, {"x": 1.0, "y": 1.0}, avg_ok)
+        assert_matches_reference(f, x, k * x.dt, {"x": 1.0, "y": 1.0}, avg_ok)
+
+
+def test_until_takes_one_view_of_each_operand(monkeypatch):
+    """One sliding window over the left operand serves every window offset."""
+    widths = []
+
+    def counting_view(values, width):
+        widths.append(width)
+        return sliding_window_view(values, width)
+
+    monkeypatch.setattr(semantics, "sliding_window_view", counting_view)
+    space_robustness(parse_formula("(y > -0.6 U[0.5,1.5] x > 0.3)"), long_trace(), 0.0)
+    # the left operand's prefixes (up to 151 samples), the right operand's
+    # 101 offsets
+    assert sorted(widths) == [101, 151]
