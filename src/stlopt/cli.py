@@ -27,6 +27,8 @@ EXIT_PROPERTIES = 3
 
 # the semantics `bench` can optimize: every kind but time robustness
 BENCH_METRICS = tuple(k for k in METRIC_KINDS if k != "time")
+# largest N that `bench --seeds N` expands to the seeds 0..N-1
+MAX_SEED_COUNT = 10**4
 
 
 class _Parser(argparse.ArgumentParser):
@@ -72,7 +74,10 @@ def _build_parser() -> _Parser:
 def _parse_seeds(text: str) -> list[int]:
     parts = [p for p in text.split(",") if p.strip()]
     if len(parts) == 1 and "," not in text:
-        return list(range(int(parts[0])))
+        count = int(parts[0])
+        if count > MAX_SEED_COUNT:
+            raise ValueError(f"--seeds: a seed count above {MAX_SEED_COUNT} is not supported")
+        return list(range(count))
     return [int(p) for p in parts]
 
 

@@ -6,6 +6,11 @@ Hyperparameters are chosen by log-marginal-likelihood (Rasmussen &
 Williams, GPML eq. 5.8) over a fixed logarithmic grid, which keeps the fit
 deterministic.  The whole grid is scored from one eigendecomposition of the
 correlation matrix per lengthscale; only the chosen triple is factorized.
+
+Squared distances are built one (q, m) input plane at a time and added in
+place in the order of numpy's pairwise summation (`pairwise_sum` in
+numpy/_core/src/umath/loops_utils.h.src), so they equal the broadcast
+``np.sum(d * d, axis=-1)`` bit for bit without its (q, m, n) temporaries.
 """
 
 from __future__ import annotations
@@ -36,8 +41,51 @@ class GpModel:
 
 
 def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    d = a[:, None, :] - b[None, :, :]
-    return np.sum(d * d, axis=-1)
+    """(q, m) squared distances between the rows of a (q, n) and b (m, n)."""
+    # numpy's pairwise_sum of n terms: below 8 one after another; up to 128
+    # in eight accumulators (every 8th term) combined as
+    # ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), the rest then added one by one;
+    # above 128 split at n/2 rounded down to a multiple of 8.  Here each term
+    # is a whole plane, so every entry sees the same additions in the same
+    # order as in np.sum(d * d, axis=-1).
+    return _sum_planes(a, b, 0, a.shape[1])
+
+
+def _plane(a: np.ndarray, b: np.ndarray, j: int) -> np.ndarray:
+    p = np.subtract.outer(a[:, j], b[:, j])
+    p *= p
+    return p
+
+
+def _sum_planes(a: np.ndarray, b: np.ndarray, lo: int, n: int) -> np.ndarray:
+    if n < 8:
+        total = np.zeros((a.shape[0], b.shape[0]))
+        for j in range(lo, lo + n):
+            total += _plane(a, b, j)
+        return total
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        total = _sum_planes(a, b, lo, half)
+        total += _sum_planes(a, b, lo + half, n - half)
+        return total
+    stop = lo + n - n % 8
+    total = _accumulators(a, b, lo, 8, stop)
+    for j in range(stop, lo + n):
+        total += _plane(a, b, j)
+    return total
+
+
+def _accumulators(a: np.ndarray, b: np.ndarray, j: int, width: int, stop: int) -> np.ndarray:
+    """Accumulators j .. j+width-1 combined pairwise; accumulator i sums the
+    planes i, i+8, ... below stop."""
+    if width > 1:
+        total = _accumulators(a, b, j, width // 2, stop)
+        total += _accumulators(a, b, j + width // 2, width // 2, stop)
+        return total
+    total = _plane(a, b, j)
+    for i in range(j + 8, stop, 8):
+        total += _plane(a, b, i)
+    return total
 
 
 def _kernel(d2: np.ndarray, lengthscale: float, sigma_f2: float) -> np.ndarray:
@@ -117,14 +165,15 @@ def fit_gp_grid(X, y) -> GpModel:
     y = np.asarray(y, dtype=float).ravel()
     ys, _, _ = _standardize(y)
     d2 = _sq_dists(X, X)
-    lml = np.empty((_ELL_GRID.size, _SF2_GRID.size, _SN2_GRID.size))
+    lam = np.empty((_ELL_GRID.size, ys.size))
+    b2 = np.empty_like(lam)
     for i, ell in enumerate(_ELL_GRID):
-        lam, Q = np.linalg.eigh(np.exp(-d2 / (2.0 * ell * ell)))
-        b2 = (Q.T @ ys) ** 2
-        e = _SF2_GRID[:, None, None] * lam + _SN2_GRID[:, None]  # (sf2, sn2, m)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            lml[i] = -0.5 * np.sum(b2 / e + np.log(e), axis=-1)
-        lml[i][np.any(e <= 0.0, axis=-1)] = -np.inf
+        lam[i], Q = np.linalg.eigh(np.exp(-d2 / (2.0 * ell * ell)))
+        b2[i] = (Q.T @ ys) ** 2
+    e = _SF2_GRID[:, None, None] * lam[:, None, None] + _SN2_GRID[:, None]  # (ell, sf2, sn2, m)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lml = -0.5 * np.sum(b2[:, None, None] / e + np.log(e), axis=-1)
+    lml[np.any(e <= 0.0, axis=-1)] = -np.inf
     i, j, k = np.unravel_index(np.argmax(lml), lml.shape)
     return gp_fit(X, y, float(_ELL_GRID[i]), float(_SF2_GRID[j]), float(_SN2_GRID[k]))
 

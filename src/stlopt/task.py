@@ -6,7 +6,7 @@ three-region eventually specification.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -58,6 +58,11 @@ class Region:
         return (0.5 * (self.x_lb + self.x_ub), 0.5 * (self.y_lb + self.y_ub))
 
 
+# Longest trajectory a task may ask for, in samples (3 x the longest segment
+# duration x sample_rate); eq2 asks for 300.
+MAX_TRACE_SAMPLES = 10**6
+
+
 @dataclass(frozen=True)
 class TaskSpec:
     formula: Formula
@@ -66,11 +71,23 @@ class TaskSpec:
     home: tuple[float, float]
     sample_rate: float
     duration_range: tuple[float, float]
+    # folds of the formula, computed once instead of per evaluation
+    formula_horizon: float = field(init=False, repr=False)
+    min_coverage: float = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.sample_rate <= 0:
             raise ValueError("sample_rate must be positive")
-        if horizon(self.formula) > 3 * self.duration_range[1] + GRID_TOL:
+        samples = 3 * self.duration_range[1] * self.sample_rate
+        if samples > MAX_TRACE_SAMPLES:
+            raise ValueError(
+                f"bounds.duration and sample_rate allow traces of {samples:.3g} samples "
+                f"(3 x {self.duration_range[1]:g} s x {self.sample_rate:g} Hz), "
+                f"above the cap of {MAX_TRACE_SAMPLES:g}"
+            )
+        object.__setattr__(self, "formula_horizon", horizon(self.formula))
+        object.__setattr__(self, "min_coverage", _min_coverage(self.formula))
+        if self.formula_horizon > 3 * self.duration_range[1] + GRID_TOL:
             raise ValueError("formula horizon exceeds the longest possible trajectory")
 
 
@@ -164,7 +181,7 @@ def evaluation_trace(spec: TaskSpec, params: TrajectoryParams) -> Trace:
     """The trace the objective scores: built, then held at the final pose
     through the formula horizon."""
     trace = build_trajectory(params, spec.sample_rate, spec.home)
-    return _pad_to_horizon(trace, horizon(spec.formula))
+    return _pad_to_horizon(trace, spec.formula_horizon)
 
 
 def objective_detail(
@@ -182,9 +199,8 @@ def objective_detail(
         raise ValueError(f"parameters outside the task bounds: {p.tolist()}")
     params = TrajectoryParams.from_vector(p)
     total = float(sum(params.durations))
-    h = horizon(spec.formula)
-    if total + GRID_TOL < _min_coverage(spec.formula):
-        return -(h - total) - 1.0, False, None
+    if total + GRID_TOL < spec.min_coverage:
+        return -(spec.formula_horizon - total) - 1.0, False, None
     trace = evaluation_trace(spec, params)
     value = evaluate(cfg, spec.formula, trace, 0.0).value
     return value, satisfies(spec.formula, trace, 0.0), trace

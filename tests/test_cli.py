@@ -253,6 +253,28 @@ def test_bench_seed_count_overflow_exit_1(capsys):
     assert err.startswith("stlopt: config error:") and err.count("\n") == 1
 
 
+def test_bench_seed_count_above_the_cap_exit_1(capsys):
+    from stlopt.cli import MAX_SEED_COUNT
+
+    assert main(["bench", "eq2", "--seeds", str(MAX_SEED_COUNT + 1)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("stlopt: config error: --seeds:") and err.count("\n") == 1
+
+
+def test_optimize_task_trace_above_the_sample_cap_exit_1(tmp_path, capsys):
+    from stlopt.task import benchmark_eq2, task_to_json
+
+    task = task_to_json(benchmark_eq2())
+    task["bounds"]["duration"] = [1, 1e12]
+    task_path = tmp_path / "task.json"
+    task_path.write_text(json.dumps(task))
+    cfg = {"method": "random", "metric": {"kind": "space"}, "budget": 2, "seeds": [0],
+           "task": str(task_path)}
+    code, err = _optimize_exit_and_error(tmp_path, capsys, cfg)
+    assert code == 1
+    assert err.startswith(f"stlopt: config error: task file {task_path}: bounds.duration and sample_rate")
+
+
 def test_check_properties_exit_0(capsys):
     assert main(["check-properties", "--samples", "80", "--seed", "42"]) == 0
     out = capsys.readouterr().out

@@ -2,10 +2,12 @@
 flag inputs.  Every run must end in exit code 0, 1 or 2, or in argparse's
 SystemExit(1) for a flag it cannot parse; no other exception may escape.
 
-Mutated numbers come from a fixed list of small, zero, negative, non-finite
-and overflowing values.  Large finite sizes are left out on purpose: a valid
-run with a large budget, seed count or trace length does not fail, it runs
-for minutes or fills memory.  Every valid run keeps budget <= 2.
+Mutated numbers come from a fixed list of small, zero, negative, large,
+non-finite and overflowing values.  Seed counts, segment durations and
+sample rates also take large finite values: the caps on the seed count and
+on the trace length reject those at once.  Large budgets are left out on
+purpose, since the budget is not capped: a valid run with a large budget
+does not fail, it runs for minutes.  Every valid run keeps budget <= 2.
 """
 
 import copy
@@ -17,13 +19,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stlopt.cli import BENCH_METRICS, main
+from stlopt.cli import BENCH_METRICS, MAX_SEED_COUNT, main
 from stlopt.semantics import METRIC_KINDS
 from stlopt.task import benchmark_eq2, task_to_json
 
 FUZZ = settings(derandomize=True, deadline=None, max_examples=40)
 
-NUMBERS = [-1, 0, 1, 2, 0.5, -0.5, 1e308, -1e308, float("nan"), float("inf"), float("-inf")]
+LARGE = [1e6, 1e9, 1e12, 1e300]  # floats: an integer field rejects them
+NUMBERS = [-1, 0, 1, 2, 0.5, -0.5, *LARGE, 1e308, -1e308, float("nan"), float("inf"),
+           float("-inf")]
 NUMBER_TEXT = ["0", "0.5", "1", "2", "-1", "1e308", "nan", "inf", "-inf", "abc", ""]
 JUNK = st.one_of(
     st.none(),
@@ -127,6 +131,19 @@ def test_optimize_with_mutated_task(workdir, task, kind):
 
 
 @FUZZ
+@given(duration=st.sampled_from(LARGE), sample_rate=st.sampled_from([0.5, 10.0, *LARGE]))
+def test_optimize_with_large_trace_sizes(workdir, duration, sample_rate):
+    task = task_to_json(benchmark_eq2())
+    task["bounds"]["duration"][1] = duration
+    task["sample_rate"] = sample_rate
+    task_path = workdir / "large-task.json"
+    task_path.write_text(json.dumps(task))
+    path = workdir / "large-config.json"
+    path.write_text(json.dumps(dict(BASE_CONFIG, task=str(task_path))))
+    assert main(["optimize", "--config", str(path), "--out", str(workdir / "out")]) == 1
+
+
+@FUZZ
 @given(
     text=trace_csv(),
     formula=st.one_of(st.sampled_from(FORMULAS), st.text(max_size=8)),
@@ -155,7 +172,8 @@ def test_eval_with_mutated_trace_and_flags(workdir, text, formula, metric, time,
     metric=st.sampled_from(BENCH_METRICS),
     budget=st.sampled_from(["-1", "0", "1", "2", "x", "1.5", ""]),
     seeds=st.sampled_from(
-        ["0", "1", "2", "-1", "", ",", "0,1", "a", "1,,2", "2,x", " ", "0,-3", str(10**20)]
+        ["0", "1", "2", "-1", "", ",", "0,1", "a", "1,,2", "2,x", " ", "0,-3",
+         str(MAX_SEED_COUNT + 1), str(10**9), str(10**20)]
     ),
     k=st.sampled_from(NUMBER_TEXT),
     nu=st.sampled_from(NUMBER_TEXT),

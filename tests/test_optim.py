@@ -16,7 +16,7 @@ from stlopt.optim import (
 from stlopt.optim import gp
 from stlopt.optim.gp import fit_gp_grid
 from stlopt.task import benchmark_eq2, objective
-from oracle import ref_gp_grid_lml
+from oracle import ref_gp_grid_lml, ref_sq_dists
 
 
 def unit_box(n):
@@ -326,6 +326,42 @@ def test_gp_mean_is_the_predicted_mean():
     Xq = rng.uniform(size=(256, 4))
     assert np.array_equal(gp.gp_mean(model, Xq), gp_predict(model, Xq)[0])
 
+
+
+@pytest.mark.parametrize("n", [*range(1, 21), 64, 128, 129, 200])
+def test_sq_dists_equals_the_broadcast_sum(n):
+    rng = np.random.default_rng(n)
+    for scale in (1e-3, 1.0, 1e3):
+        for q in (1, 5, 30, 768):
+            for m in (1, 5, 30, 768):
+                if q * m > 768 * 30:
+                    continue  # a 768 x 768 x n reference block is too large to build
+                a, b = scale * rng.uniform(size=(q, n)), scale * rng.uniform(size=(m, n))
+                a[-1] = a[0]  # duplicated rows
+                b[-1] = a[0]  # a zero-distance pair
+                assert np.array_equal(gp._sq_dists(a, b), ref_sq_dists(a, b)), (scale, q, m)
+
+
+@pytest.mark.parametrize("m", [10, 30, 59])
+def test_gp_posterior_is_unchanged_by_the_plane_sum(monkeypatch, m):
+    # eq2 sizes: 9 inputs, up to 59 observations, 768 exploit and 2112
+    # explore candidates
+    rng = np.random.default_rng(m)
+    X, Xq = rng.uniform(size=(m, 9)), rng.uniform(size=(2112, 9))
+    y = np.sin(3 * X.sum(axis=1)) + 0.1 * rng.normal(size=m)
+
+    def posterior():
+        model = fit_gp_grid(X, y)
+        return model, gp.gp_mean(model, Xq[:768]), gp.gp_predict(model, Xq)
+
+    model, mean, (pmean, pvar) = posterior()
+    monkeypatch.setattr(gp, "_sq_dists", ref_sq_dists)
+    ref_model, ref_mean, (ref_pmean, ref_pvar) = posterior()
+    assert _grid_cell(model) == _grid_cell(ref_model)
+    assert np.array_equal(model.chol_lower, ref_model.chol_lower)
+    assert np.array_equal(model.alpha, ref_model.alpha)
+    assert np.array_equal(mean, ref_mean)
+    assert np.array_equal(pmean, ref_pmean) and np.array_equal(pvar, ref_pvar)
 
 def test_random_search_deterministic():
     b = unit_box(3)

@@ -15,7 +15,9 @@ from stlopt import (
     satisfies,
 )
 from stlopt.task import (
+    MAX_TRACE_SAMPLES,
     TrajectoryParams,
+    _min_coverage,
     _pad_to_horizon,
     evaluation_trace,
     load_task_file,
@@ -184,6 +186,23 @@ def test_short_durations_penalty():
     assert not sat and trace is None
 
 
+def test_objective_reads_the_folds_computed_with_the_task(monkeypatch):
+    import stlopt.task as task
+
+    spec = benchmark_eq2()
+    assert spec.formula_horizon == horizon(spec.formula) == 15.0
+    assert spec.min_coverage == _min_coverage(spec.formula) == 13.0
+
+    def refuse(f):
+        raise AssertionError("formula fold recomputed per evaluation")
+
+    monkeypatch.setattr(task, "horizon", refuse)
+    monkeypatch.setattr(task, "_min_coverage", refuse)
+    cfg = MetricConfig("space")
+    assert objective_detail(spec, cfg, centers_vector(spec))[1]
+    assert objective_detail(spec, cfg, centers_vector(spec, (1.0, 1.0, 1.0)))[0] == -13.0
+
+
 def test_objective_is_pure():
     spec = benchmark_eq2()
     cfg = MetricConfig("new")
@@ -259,3 +278,20 @@ def test_task_json_names_the_failing_field(edit, message):
     edit(data)
     with pytest.raises(ValueError, match=message):
         task_from_json(data)
+
+
+@pytest.mark.parametrize("duration, sample_rate", [(1e12, 10.0), (10.0, 1e6), (1e4, 34.0)])
+def test_task_rejects_traces_above_the_sample_cap(duration, sample_rate):
+    data = task_to_json(benchmark_eq2())
+    data["bounds"]["duration"] = [1.0, duration]
+    data["sample_rate"] = sample_rate
+    assert 3 * duration * sample_rate > MAX_TRACE_SAMPLES
+    with pytest.raises(ValueError, match=r"^bounds\.duration and sample_rate .* above the cap"):
+        task_from_json(data)
+
+
+def test_task_accepts_traces_below_the_sample_cap():
+    data = task_to_json(benchmark_eq2())
+    data["bounds"]["duration"] = [1.0, 1e4]
+    data["sample_rate"] = 33.0  # 990 000 samples
+    assert task_from_json(data).sample_rate == 33.0
