@@ -10,9 +10,12 @@ values, and Until takes one sliding window over its left operand as long
 as its widest prefix and, for each window offset, reduces that view's
 leading columns together with its right operand.  Window offsets come from
 window_indices once per temporal node: on a uniform grid they are the same
-at every index.  A semantics is a predicate map plus a conjunction/
-disjunction pair that reduces the last axis of an array; the Boolean oracle
-is the same walk over +-1 predicate values with min/max.
+at every index.  The walk runs once per node on windows of 11-21 samples
+in the eq2 task, where numpy's Python-level wrappers cost more than the
+arithmetic, so it builds strided views and calls ufunc methods directly.
+A semantics is a predicate map plus a conjunction/disjunction pair that
+reduces the last axis of an array; the Boolean oracle is the same walk over
++-1 predicate values with min/max.
 
 Negation is threaded through as a polarity flag: predicates negate their
 margin and the aggregator roles swap.  For min/max, LSE, AGM and the
@@ -33,7 +36,6 @@ from functools import partial
 from typing import Callable
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import aggregators as agg
 from .exceptions import (
@@ -87,7 +89,7 @@ class MetricConfig:
 
 
 def _check_positive_finite(what: str, value) -> None:
-    if not (isinstance(value, (int, float)) and 0 < value < math.inf):
+    if isinstance(value, bool) or not (isinstance(value, (int, float)) and 0 < value < math.inf):
         raise ValueError(f"{what} must be positive and finite, got {value!r}")
 
 
@@ -105,14 +107,16 @@ class TimeRobustness:
     truncated: bool
 
 
-def _check_preconditions(f: Formula, x: Trace, t: float) -> int:
+def _check_preconditions(f: Formula, x: Trace, t: float) -> tuple[int, float]:
+    """The grid index of t and the horizon of f, once the trace covers both."""
     k0 = x.time_index(t)
-    if t + horizon(f) > x.end_time + GRID_TOL:
+    h = horizon(f)
+    if t + h > x.end_time + GRID_TOL:
         raise InsufficientHorizonError(
-            f"insufficient horizon: need samples to {t + horizon(f)} s "
+            f"insufficient horizon: need samples to {t + h} s "
             f"but trace ends at {x.end_time} s"
         )
-    return k0
+    return k0, h
 
 
 # The walker -----------------------------------------------------------------
@@ -136,6 +140,20 @@ class _Semantics:
     polar: bool = True
 
 
+def _windows(v: np.ndarray, width: int) -> np.ndarray:
+    """Read-only view whose row i is v[i : i + width], as sliding_window_view."""
+    v = np.ascontiguousarray(v)
+    s = v.itemsize
+    windows = np.ndarray((len(v) - width + 1, width), v.dtype, v, 0, (s, s))
+    windows.setflags(write=False)
+    return windows
+
+
+def _stack(cols) -> np.ndarray:
+    """np.stack(cols, axis=-1) for equal-length 1-D columns, C-ordered like it."""
+    return np.array(cols).T.copy()
+
+
 def _walk(f: Formula, x: Trace, lo: int, hi: int, sem: _Semantics, positive=True) -> np.ndarray:
     """Values of f (negated when not positive) at sample indices lo..hi."""
     if isinstance(f, Pred):
@@ -147,7 +165,7 @@ def _walk(f: Formula, x: Trace, lo: int, hi: int, sem: _Semantics, positive=True
         return -_walk(f.child, x, lo, hi, sem, positive)
     conj, disj = (sem.conj, sem.disj) if positive else (sem.disj, sem.conj)
     if isinstance(f, (And, Or)):
-        block = np.stack([_walk(a, x, lo, hi, sem, positive) for a in f.args], axis=-1)
+        block = _stack([_walk(a, x, lo, hi, sem, positive) for a in f.args])
         return conj(block) if isinstance(f, And) else disj(block)
     if not isinstance(f, (Globally, Eventually, Until)):
         raise TypeError(f"not a formula node: {f!r}")
@@ -160,23 +178,23 @@ def _walk(f: Formula, x: Trace, lo: int, hi: int, sem: _Semantics, positive=True
         rhs = _walk(f.rhs, x, lo + da, hi + db, sem, positive)
         # spans[i] is lhs over lo+i .. lo+i+db (lhs covers lo..hi+db, so n
         # rows); prefix[i, d - da] reduces its first d + 1 columns
-        spans = sliding_window_view(lhs, db + 1)
-        prefix = np.stack([conj(spans[:, : d + 1]) for d in range(da, db + 1)], axis=-1)
-        pairs = np.stack([sliding_window_view(rhs, db - da + 1), prefix], axis=-1)
+        spans = _windows(lhs, db + 1)
+        prefix = _stack([conj(spans[:, : d + 1]) for d in range(da, db + 1)])
+        pairs = np.stack([_windows(rhs, db - da + 1), prefix], axis=-1)
         return disj(conj(pairs))
-    windows = sliding_window_view(_walk(f.child, x, lo + da, hi + db, sem, positive), db - da + 1)
+    windows = _windows(_walk(f.child, x, lo + da, hi + db, sem, positive), db - da + 1)
     if isinstance(f, Globally):
         return (sem.always or conj)(windows)
     return (sem.eventually or disj)(windows)
 
 
 def _value(f: Formula, x: Trace, t: float, sem: _Semantics) -> float:
-    k0 = _check_preconditions(f, x, t)
+    k0, _ = _check_preconditions(f, x, t)
     return float(_walk(f, x, k0, k0, sem)[0])
 
 
-_min = partial(np.min, axis=-1)
-_max = partial(np.max, axis=-1)
+_min = partial(np.minimum.reduce, axis=-1)
+_max = partial(np.maximum.reduce, axis=-1)
 _BOOLEAN = _Semantics(lambda p, column: np.where(p.holds(column), 1.0, -1.0), _min, _max)
 _SPACE = _Semantics(Pred.margin, _min, _max)
 
@@ -280,8 +298,7 @@ def time_robustness_plus(f: Formula, x: Trace, t: float) -> TimeRobustness:
     The scan saturates at the last shift for which the horizon still fits in
     the trace; saturation is reported through the truncated flag.
     """
-    k0 = _check_preconditions(f, x, t)
-    h = horizon(f)
+    k0, h = _check_preconditions(f, x, t)
     shifts = np.arange(1, x.n_samples - k0)
     last = int(np.count_nonzero(t + shifts * x.dt + h <= x.end_time + GRID_TOL))
     verdicts = _walk(f, x, k0, k0 + last, _BOOLEAN) > 0

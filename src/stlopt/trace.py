@@ -32,7 +32,9 @@ class Trace:
     def __post_init__(self):
         if self.dt <= 0:
             raise ValueError("sample period dt must be positive")
-        samples = np.ascontiguousarray(self.samples, dtype=float)
+        # a private copy: the caller's array stays writable, and writing it
+        # cannot put NaN into a trace that has passed the finiteness check
+        samples = np.array(self.samples, dtype=float, order="C")
         if samples.ndim != 2:
             raise ValueError("samples must be a 2-D array (steps x channels)")
         if samples.shape[0] < 1:

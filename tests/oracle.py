@@ -4,8 +4,8 @@ brute_space and brute_sat are deliberately naive: enumerate every sample
 time by scanning the whole grid, recompute margins inline, and use Python's
 min/max directly.  They share no code with the library, so the two can
 disagree.  The ref_* functions below are the per-sample reference for all
-the library's semantics, for the GP hyperparameter grid and for the eq2
-trajectory builder.
+the library's semantics and aggregators, for the GP hyperparameter grid and
+for the eq2 trajectory builder.
 """
 
 import math
@@ -13,13 +13,82 @@ import math
 import numpy as np
 from scipy.linalg import cho_solve
 
-from stlopt import aggregators as agg
+from stlopt.exceptions import AgmDomainError
 from stlopt.formula import And, Eventually, Globally, Not, Or, Pred, Until, horizon
 from stlopt.optim import gp
 from stlopt.task import WORKSPACE_HI, WORKSPACE_LO
 from stlopt.trace import GRID_TOL, Trace, window_indices
 
 EPS = 1e-9
+
+
+# Aggregators ------------------------------------------------------------
+#
+# The aggregators as first written, through numpy's reduction wrappers
+# (np.sum, np.mean, np.clip, np.any, np.all).  stlopt.aggregators calls the
+# ufunc methods behind them and must reproduce these bit for bit.
+
+_AGM_TOL = 1e-9
+
+
+def _ref_as_array(values):
+    v = np.asarray(values, dtype=float)
+    if v.ndim == 0 or v.size == 0:
+        raise ValueError("aggregator input must be a non-empty sequence or block of rows")
+    return v
+
+
+def _ref_result(r):
+    return float(r) if np.ndim(r) == 0 else r
+
+
+def ref_softmax_lse(values, k):
+    v = _ref_as_array(values)
+    shift = v.max(axis=-1, keepdims=True)
+    return _ref_result(shift[..., 0] + np.log(np.sum(np.exp(k * (v - shift)), axis=-1)) / k)
+
+
+def ref_softmin_lse(values, k):
+    return -ref_softmax_lse(-_ref_as_array(values), k)
+
+
+ref_smooth_min = ref_softmin_lse
+
+
+def ref_smooth_max(values, k):
+    v = _ref_as_array(values)
+    w = np.exp(k * (v - v.max(axis=-1, keepdims=True)))
+    return _ref_result(np.sum(v * w, axis=-1) / np.sum(w, axis=-1))
+
+
+def ref_agm_and(values):
+    v = _ref_as_array(values)
+    if np.any(v < -1 - _AGM_TOL) or np.any(v > 1 + _AGM_TOL):
+        raise AgmDomainError(f"agm input out of [-1, 1]: {v[np.abs(v) > 1].tolist()}")
+    v = np.clip(v, -1.0, 1.0)
+    with np.errstate(divide="ignore"):
+        geometric = np.expm1(np.mean(np.log1p(v), axis=-1))
+    violation = np.mean(np.minimum(v, 0.0), axis=-1)
+    return _ref_result(np.where(np.all(v > 0, axis=-1), geometric, violation))
+
+
+def ref_agm_or(values):
+    return -ref_agm_and(-_ref_as_array(values))
+
+
+def ref_new_and(values, nu):
+    v = _ref_as_array(values)
+    r_min = v.min(axis=-1, keepdims=True)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        r_tilde = v / r_min
+        exponents = np.where(r_min < 0, (1.0 + nu) * r_tilde, -nu * r_tilde)
+        w = np.exp(exponents - exponents.max(axis=-1, keepdims=True))
+        weighted = np.sum(v * w, axis=-1) / np.sum(w, axis=-1)
+    return _ref_result(np.where(r_min[..., 0] == 0.0, 0.0, weighted))
+
+
+def ref_new_or(values, nu):
+    return -ref_new_and(-_ref_as_array(values), nu)
 
 
 def _index_of(trace, t):
@@ -223,10 +292,10 @@ def ref_robustness(kind, f, x, t, k=10.0, nu=2.0, scales=None):
 
     and_agg, or_agg, pred = {
         "space": (min, max, margin),
-        "lse": (lambda v: agg.softmin_lse(v, k), lambda v: agg.softmax_lse(v, k), margin),
-        "smooth": (lambda v: agg.smooth_min(v, k), lambda v: agg.smooth_max(v, k), margin),
-        "agm": (agg.agm_and, agg.agm_or, agm_margin),
-        "new": (lambda v: agg.new_and(v, nu), lambda v: agg.new_or(v, nu), margin),
+        "lse": (lambda v: ref_softmin_lse(v, k), lambda v: ref_softmax_lse(v, k), margin),
+        "smooth": (lambda v: ref_smooth_min(v, k), lambda v: ref_smooth_max(v, k), margin),
+        "agm": (ref_agm_and, ref_agm_or, agm_margin),
+        "new": (lambda v: ref_new_and(v, nu), lambda v: ref_new_or(v, nu), margin),
     }[kind]
     return _ref_rho(f, x, k0, and_agg, or_agg, pred, True)
 

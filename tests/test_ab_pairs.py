@@ -1,0 +1,76 @@
+"""The summary arithmetic of scripts/ab_pairs.py on synthetic numbers.
+
+Nothing here runs the benchmark: only the quartiles, the pair count, the
+relative change and the claim rule are checked.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parent.parent / "scripts" / "ab_pairs.py"
+_spec = importlib.util.spec_from_file_location("ab_pairs", _PATH)
+ab_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(ab_pairs)
+
+
+def test_quartiles_are_inclusive():
+    assert ab_pairs.quartiles([5, 1, 4, 2, 3]) == {"median": 3, "q1": 2, "q3": 4}
+    assert ab_pairs.quartiles([1, 2, 3, 4]) == {"median": 2.5, "q1": 1.75, "q3": 3.25}
+    assert ab_pairs.quartiles([7.0]) == {"median": 7.0, "q1": 7.0, "q3": 7.0}
+
+
+def test_summary_of_a_lower_is_better_metric():
+    parent = [1.0, 1.1, 0.9, 1.0, 1.2, 1.05, 0.95, 1.0, 1.1, 1.0]
+    change = [0.7, 0.8, 0.9, 0.75, 0.7, 0.8, 0.72, 0.78, 0.74, 0.76]
+    s = ab_pairs.summarize(parent, change, "lower")
+    assert s["parent"] == {"median": 1.0, "q1": 1.0, "q3": 1.0875}
+    assert s["change"]["median"] == pytest.approx(0.755)
+    assert s["change_wins"] == 9  # pair 3 is a tie, which counts for neither
+    assert s["rel_change"] == -0.245
+    assert s["parent_iqr"] == 0.0875
+    assert s["median_gap"] == pytest.approx(0.245)
+    assert ab_pairs.claim_met(s, 10)
+
+
+def test_summary_of_a_higher_is_better_metric():
+    s = ab_pairs.summarize([100.0, 110.0, 90.0], [120.0, 130.0, 80.0], "higher")
+    assert s["change_wins"] == 2
+    assert s["rel_change"] == 0.2
+    assert s["median_gap"] == 20.0
+    assert not ab_pairs.claim_met(s, 3)  # 2 of 3 is below nine tenths
+
+
+def test_claim_needs_nine_tenths_and_a_gap_wider_than_the_parent_iqr():
+    parent = [float(v) for v in range(10, 20)]  # median 14.5, IQR 4.5
+    all_won_small_gap = ab_pairs.summarize(parent, [v - 1 for v in parent], "lower")
+    assert all_won_small_gap["change_wins"] == 10
+    assert not ab_pairs.claim_met(all_won_small_gap, 10)
+    eight_won = [v - 10 for v in parent[:8]] + parent[8:]
+    s = ab_pairs.summarize(parent, eight_won, "lower")
+    assert s["change_wins"] == 8 and s["median_gap"] > s["parent_iqr"]
+    assert not ab_pairs.claim_met(s, 10)
+    nine_won = [v - 10 for v in parent[:9]] + [parent[9] + 1]
+    assert ab_pairs.claim_met(ab_pairs.summarize(parent, nine_won, "lower"), 10)
+    worse = ab_pairs.summarize(parent, [v + 10 for v in parent], "lower")
+    assert worse["median_gap"] < 0 and not ab_pairs.claim_met(worse, 10)
+
+
+def test_claim_needs_at_least_ten_pairs():
+    one = ab_pairs.summarize([1.0], [0.5], "lower")
+    assert one["change_wins"] == 1 and one["median_gap"] > one["parent_iqr"]
+    assert not ab_pairs.claim_met(one, 1)
+    parent = [float(v) for v in range(10, 19)]
+    nine = ab_pairs.summarize(parent, [v - 10 for v in parent], "lower")
+    assert nine["change_wins"] == 9 and nine["median_gap"] > nine["parent_iqr"]
+    assert not ab_pairs.claim_met(nine, 9)
+    ten = ab_pairs.summarize(parent + [19.0], [v - 10 for v in parent + [19.0]], "lower")
+    assert ab_pairs.claim_met(ten, 10)
+
+
+def test_summary_rejects_unpaired_runs():
+    with pytest.raises(ValueError):
+        ab_pairs.summarize([1.0, 2.0], [1.0], "lower")
+    with pytest.raises(ValueError):
+        ab_pairs.summarize([], [], "lower")

@@ -17,6 +17,8 @@ from stlopt import (
     softmin_lse,
 )
 
+import oracle
+
 _vec = st.lists(
     st.floats(-1e6, 1e6, allow_nan=False), min_size=1, max_size=10
 ).map(np.array)
@@ -139,3 +141,81 @@ def test_overflow_shielding():
         assert np.isfinite(smooth_max(big, k))
     assert np.isfinite(new_and(big, 1e3))
     assert np.isfinite(new_and(np.array([-1e-300, 1e6]), 2.0))
+
+
+# Exactness against the wrapper-based references in oracle.py --------------
+
+_EXACT = [
+    (name, fn, getattr(oracle, f"ref_{name}"), arg)
+    for name, fn, arg in (
+        ("softmax_lse", softmax_lse, 3.0),
+        ("softmin_lse", softmin_lse, 10.0),
+        ("smooth_min", smooth_min, 10.0),
+        ("smooth_max", smooth_max, 1e3),
+        ("agm_and", agm_and, None),
+        ("agm_or", agm_or, None),
+        ("new_and", new_and, 2.0),
+        ("new_or", new_or, 0.5),
+    )
+]
+# numpy sums 8 terms at a time up to 128 and splits longer rows in halves
+_LENGTHS = list(range(1, 21)) + [64, 127, 128, 129, 200]
+
+
+def _rows(rng, m):
+    """Rows of length m in [-1, 1] that take every branch of every aggregator."""
+    plain = rng.uniform(-1, 1, m)
+    zeros = plain.copy()
+    zeros[rng.random(m) < 0.3] = 0.0
+    zeros[rng.random(m) < 0.3] = -0.0
+    min_zero = rng.uniform(0, 1, m)  # new_and's exact-0 branch, agm's zero argument
+    min_zero[rng.integers(m)] = 0.0
+    max_zero = -min_zero  # the same for the disjunctions, with -0.0
+    positive = rng.uniform(0.01, 1, m)  # agm's geometric branch
+    corners = rng.choice([-1.0, -0.0, 0.0, 1.0], m)
+    tolerance = corners + rng.choice([-5e-10, 0.0, 5e-10], m)  # clipped, not rejected
+    signed_zeros = [np.full(m, -0.0), rng.choice([-0.0, 0.0], m)]
+    return [plain, zeros, min_zero, max_zero, positive, corners, tolerance, 1e3 * plain,
+            *signed_zeros]
+
+
+def _assert_identical(got, want):
+    assert type(got) is type(want)
+    assert np.shape(got) == np.shape(want)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def _call(fn, arg, v):
+    return fn(v) if arg is None else fn(v, arg)
+
+
+@pytest.mark.parametrize("name,fn,ref,arg", _EXACT, ids=[e[0] for e in _EXACT])
+def test_aggregators_equal_their_references_bit_for_bit(name, fn, ref, arg):
+    rng = np.random.default_rng(len(name))
+    for m in _LENGTHS:
+        rows = _rows(rng, m)
+        if name.startswith("agm"):
+            rows = [np.clip(r, -1 - 5e-10, 1 + 5e-10) for r in rows]
+        for row in rows:
+            _assert_identical(_call(fn, arg, row), _call(ref, arg, row))
+            _assert_identical(_call(fn, arg, list(row)), _call(ref, arg, list(row)))
+        block = np.array(rows)
+        _assert_identical(_call(fn, arg, block), _call(ref, arg, block))
+        _assert_identical(_call(fn, arg, block[:, None, :]), _call(ref, arg, block[:, None, :]))
+
+
+@pytest.mark.parametrize("fn,ref", [(agm_and, oracle.ref_agm_and), (agm_or, oracle.ref_agm_or)])
+def test_agm_domain_check_equals_its_reference(fn, ref):
+    for row in ([1 + 2e-9, 0.5], [-1 - 2e-9, 0.5], [0.5, 1.5, -3.0],
+                [np.nan, -3.0], [np.nan, 3.0], [[np.nan, 0.5], [0.2, 3.0]],
+                [[0.5, -3.0], [0.1, np.nan]]):
+        with pytest.raises(AgmDomainError) as got:
+            fn(row)
+        with pytest.raises(AgmDomainError) as want:
+            ref(row)
+        assert str(got.value) == str(want.value)
+    for row in ([1 + 1e-9, -1 - 1e-9], [np.nan, 0.5], [0.5, np.nan], [np.nan, np.nan]):
+        # at the tolerance, and NaN, pass the check in both
+        got, want = fn(row), ref(row)
+        assert np.array_equal(got, want, equal_nan=True)

@@ -176,6 +176,15 @@ def test_optimize_metric_not_an_object_exit_1(tmp_path, capsys):
     assert "metric must be a JSON object" in err
 
 
+def test_optimize_boolean_agm_scale_exit_1(tmp_path, capsys):
+    # a JSON true is an int to Python; it is not a scale factor
+    cfg = {"method": "random", "metric": {"kind": "agm", "agm_scales": {"x": True, "y": 1}},
+           "budget": 2, "seeds": [0]}
+    code, err = _optimize_exit_and_error(tmp_path, capsys, cfg)
+    assert code == 1
+    assert "agm scale for 'x' must be positive and finite, got True" in err
+
+
 def test_optimize_task_without_bounds_exit_1(tmp_path, capsys):
     from stlopt.task import benchmark_eq2, task_to_json
 

@@ -185,12 +185,15 @@ def test_metric_config_validation():
         dict(agm_scales={"x": inf}),
         dict(agm_scales={"x": "1"}),
         dict(agm_scales=[1.0]),
+        dict(k=True),
+        dict(nu=True),
+        dict(agm_scales={"x": True, "y": 1}),
     ):
         with pytest.raises(ValueError):
             MetricConfig("agm", **bad)
 
 
-@pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, True])
 @pytest.mark.parametrize(
     "call",
     [

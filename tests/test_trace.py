@@ -32,6 +32,21 @@ def test_construction_invariants():
         Trace(("x", "y"), 0.0, 1.0, np.zeros((3, 1)))
 
 
+def test_construction_leaves_the_callers_array_writable():
+    samples = np.zeros((3, 1))
+    trace = Trace(("x",), 0.0, 1.0, samples)
+    assert samples.flags.writeable
+    samples[1, 0] = 5.0
+    assert not trace.samples.flags.writeable and trace.samples[1, 0] == 0.0
+
+
+def test_writing_the_callers_base_cannot_change_a_trace():
+    base = np.zeros((4, 2))
+    trace = Trace(("x", "y"), 0.0, 1.0, base[1:])  # a contiguous view of base
+    base[2] = np.nan
+    assert np.all(np.isfinite(trace.samples))
+
+
 @pytest.mark.parametrize("values", [[0.1, np.nan, 0.3], [np.nan, 0.1, 0.3], [0.1, np.inf, 0.3]])
 def test_construction_rejects_non_finite_samples(values):
     # NaN in the middle once gave F[0,2](x > 0.2) the value 0.1, satisfied

@@ -123,13 +123,42 @@ def test_long_traces_with_wide_windows(text, avg_ok):
 def test_until_takes_one_view_of_each_operand(monkeypatch):
     """One sliding window over the left operand serves every window offset."""
     widths = []
+    windows = semantics._windows
 
     def counting_view(values, width):
         widths.append(width)
-        return sliding_window_view(values, width)
+        return windows(values, width)
 
-    monkeypatch.setattr(semantics, "sliding_window_view", counting_view)
+    monkeypatch.setattr(semantics, "_windows", counting_view)
     space_robustness(parse_formula("(y > -0.6 U[0.5,1.5] x > 0.3)"), long_trace(), 0.0)
     # the left operand's prefixes (up to 151 samples), the right operand's
     # 101 offsets
     assert sorted(widths) == [101, 151]
+
+
+@pytest.mark.parametrize("width", [1, 2, 7, 21])
+@pytest.mark.parametrize("contiguous", [True, False])
+def test_windows_equal_sliding_window_view(width, contiguous):
+    rng = np.random.default_rng(width)
+    base = rng.uniform(-1, 1, size=(21, 2))
+    v = np.ascontiguousarray(base[:, 1]) if contiguous else base[:, 1]
+    assert v.flags.c_contiguous == contiguous
+    for w in (width, len(v)):
+        got = semantics._windows(v, w)
+        want = sliding_window_view(v, w)
+        assert got.shape == want.shape == (len(v) - w + 1, w)
+        assert np.array_equal(got, want)
+        assert not got.flags.writeable
+
+
+@pytest.mark.parametrize("n_cols", [1, 2, 3, 8, 9, 21])
+def test_stack_equals_np_stack_on_the_last_axis(n_cols):
+    rng = np.random.default_rng(n_cols)
+    for n_rows in (1, 5, 151):
+        cols = [rng.uniform(-1, 1, n_rows) for _ in range(n_cols)]
+        got = semantics._stack(cols)
+        want = np.stack(cols, axis=-1)
+        assert got.shape == want.shape and got.flags.c_contiguous
+        assert np.array_equal(got, want)
+        # same C-ordered block, so a last-axis reduction sums in the same order
+        assert np.array_equal(np.add.reduce(got, axis=-1), np.sum(want, axis=-1))
