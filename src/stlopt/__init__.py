@@ -34,13 +34,9 @@ from .semantics import (
     MetricConfig,
     RobustnessValue,
     TimeRobustness,
-    agm_robustness,
     avg_robustness,
     evaluate,
-    lse_robustness,
-    new_robustness,
     satisfies,
-    smooth_robustness,
     space_robustness,
     time_robustness_plus,
 )
@@ -67,10 +63,8 @@ from .optim import (
 )
 from .task import (
     TaskSpec,
-    TrajectoryParams,
     benchmark_eq2,
     build_trajectory,
-    objective,
     objective_detail,
 )
 from .harness import ExperimentConfig, ExperimentResult, emit_results, run_experiment

@@ -16,7 +16,6 @@ from .semantics import MetricConfig
 from .task import (
     PARAM_NAMES,
     TaskSpec,
-    TrajectoryParams,
     benchmark_eq2,
     evaluation_trace,
     load_task_file,
@@ -180,9 +179,7 @@ def emit_results(result: ExperimentResult, out_dir: str) -> dict[str, str]:
         best_record = max(
             (r for s in result.per_seed for r in s.records), key=lambda r: r.value
         )
-        best_trace = evaluation_trace(
-            result.task, TrajectoryParams.from_vector(best_record.params)
-        )
+        best_trace = evaluation_trace(result.task, best_record.params)
         save_trace_csv(best_trace, paths["trace_best"])
     except OSError as exc:
         raise StlError(f"cannot write results under {out_dir}: {exc}") from exc

@@ -29,13 +29,9 @@ from .formula import (
 )
 from .semantics import (
     MetricConfig,
-    agm_robustness,
     avg_robustness,
     evaluate,
-    lse_robustness,
-    new_robustness,
     satisfies,
-    smooth_robustness,
     space_robustness,
 )
 from .trace import Trace
@@ -142,10 +138,10 @@ def _check_soundness(rng: np.random.Generator, samples: int) -> list[PropertyChe
         f, x = random_instance(rng)
         sat = satisfies(f, x, 0.0)
         v_space = space_robustness(f, x, 0.0)
-        v_smooth = smooth_robustness(f, x, 0.0, 10.0)
-        v_new = new_robustness(f, x, 0.0, 2.0)
-        v_agm = agm_robustness(f, x, 0.0, _AGM_SCALES)
-        v_lse = lse_robustness(f, x, 0.0, 10.0)
+        v_smooth = evaluate(MetricConfig("smooth", k=10.0), f, x, 0.0).value
+        v_new = evaluate(MetricConfig("new", nu=2.0), f, x, 0.0).value
+        v_agm = evaluate(MetricConfig("agm", agm_scales=_AGM_SCALES), f, x, 0.0).value
+        v_lse = evaluate(MetricConfig("lse", k=10.0), f, x, 0.0).value
         checked += 1
 
         if v_smooth > v_space + SIGN_TOL:

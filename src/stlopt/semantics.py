@@ -33,7 +33,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable
+from types import MappingProxyType
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -74,7 +75,7 @@ class MetricConfig:
     kind: str
     k: float = 10.0
     nu: float = 2.0
-    agm_scales: dict[str, float] | None = None
+    agm_scales: Mapping[str, float] | None = None
 
     def __post_init__(self):
         if self.kind not in METRIC_KINDS:
@@ -82,8 +83,9 @@ class MetricConfig:
         _check_positive_finite("scale factor k", self.k)
         _check_positive_finite("scale factor nu", self.nu)
         if self.agm_scales is not None:
-            if not isinstance(self.agm_scales, dict):
+            if not isinstance(self.agm_scales, Mapping):
                 raise ValueError("agm scales must map channel names to numbers")
+            object.__setattr__(self, "agm_scales", MappingProxyType(dict(self.agm_scales)))
             for name, scale in self.agm_scales.items():
                 _check_positive_finite(f"agm scale for {name!r}", scale)
 
@@ -215,45 +217,6 @@ def space_robustness(f: Formula, x: Trace, t: float) -> float:
     return _value(f, x, t, _SPACE)
 
 
-def lse_robustness(f: Formula, x: Trace, t: float, k: float) -> float:
-    """Log-sum-exp smoothing of the space recursion; smooth but not sound."""
-    _check_positive_finite("scale factor k", k)
-    sem = _Semantics(
-        Pred.margin, lambda v: agg.softmin_lse(v, k), lambda v: agg.softmax_lse(v, k)
-    )
-    return _value(f, x, t, sem)
-
-
-def smooth_robustness(f: Formula, x: Trace, t: float, k: float) -> float:
-    """Under-approximating smoothing: never exceeds the space robustness."""
-    _check_positive_finite("scale factor k", k)
-    sem = _Semantics(
-        Pred.margin, lambda v: agg.smooth_min(v, k), lambda v: agg.smooth_max(v, k)
-    )
-    return _value(f, x, t, sem)
-
-
-def new_robustness(f: Formula, x: Trace, t: float, nu: float) -> float:
-    """Scale-invariant weighted-average semantics; sign matches space robustness."""
-    _check_positive_finite("scale factor nu", nu)
-    sem = _Semantics(Pred.margin, lambda v: agg.new_and(v, nu), lambda v: agg.new_or(v, nu))
-    return _value(f, x, t, sem)
-
-
-def agm_robustness(f: Formula, x: Trace, t: float, scales: dict[str, float]) -> float:
-    """Arithmetic/geometric-mean semantics over margins normalized to [-1, 1]."""
-    missing = sorted(c for c in channels(f) if c not in scales)
-    if missing:
-        raise MissingAgmScaleError(f"missing agm scale for channel {missing[0]!r}")
-    for name, scale in scales.items():
-        _check_positive_finite(f"agm scale for {name!r}", scale)
-
-    def pred(p: Pred, column: np.ndarray) -> np.ndarray:
-        return np.clip(p.margin(column) / scales[p.channel], -1.0, 1.0)
-
-    return _value(f, x, t, _Semantics(pred, agg.agm_and, agg.agm_or))
-
-
 # Averaging semantics ------------------------------------------------------
 
 
@@ -312,24 +275,40 @@ def time_robustness_plus(f: Formula, x: Trace, t: float) -> TimeRobustness:
 # Dispatch -----------------------------------------------------------------
 
 
+def _semantics(cfg: MetricConfig, f: Formula) -> _Semantics:
+    """The walker hooks of the space, lse, smooth, new or agm semantics."""
+    k, nu = cfg.k, cfg.nu
+    if cfg.kind == "space":
+        return _SPACE
+    if cfg.kind == "lse":  # log-sum-exp smoothing of space; smooth but not sound
+        return _Semantics(
+            Pred.margin, lambda v: agg.softmin_lse(v, k), lambda v: agg.softmax_lse(v, k)
+        )
+    if cfg.kind == "smooth":  # under-approximating: never exceeds space
+        return _Semantics(
+            Pred.margin, lambda v: agg.smooth_min(v, k), lambda v: agg.smooth_max(v, k)
+        )
+    if cfg.kind == "new":  # scale-invariant weighted average; sign matches space
+        return _Semantics(Pred.margin, lambda v: agg.new_and(v, nu), lambda v: agg.new_or(v, nu))
+    scales = cfg.agm_scales or {}
+    missing = sorted(c for c in channels(f) if c not in scales)
+    if missing:
+        raise MissingAgmScaleError(f"missing agm scale for channel {missing[0]!r}")
+
+    def pred(p: Pred, column: np.ndarray) -> np.ndarray:
+        return np.clip(p.margin(column) / scales[p.channel], -1.0, 1.0)
+
+    return _Semantics(pred, agg.agm_and, agg.agm_or)
+
+
 def evaluate(cfg: MetricConfig, f: Formula, x: Trace, t: float) -> RobustnessValue:
     """Evaluate f on x at time t under the configured semantics."""
-    if cfg.kind == "space":
-        value = space_robustness(f, x, t)
-    elif cfg.kind == "time":
+    if cfg.kind == "time":
         value = time_robustness_plus(f, x, t).value
-    elif cfg.kind == "lse":
-        value = lse_robustness(f, x, t, cfg.k)
-    elif cfg.kind == "smooth":
-        value = smooth_robustness(f, x, t, cfg.k)
-    elif cfg.kind == "agm":
-        value = agm_robustness(f, x, t, cfg.agm_scales or {})
     elif cfg.kind == "avg":
         value = avg_robustness(f, x, t)
-    elif cfg.kind == "new":
-        value = new_robustness(f, x, t, cfg.nu)
-    else:  # unreachable; MetricConfig validates kind
-        raise ValueError(cfg.kind)
+    else:
+        value = _value(f, x, t, _semantics(cfg, f))
     if not math.isfinite(value):
         raise EvaluationError(f"{cfg.kind} robustness is not finite: {value}")
     return RobustnessValue(float(value))

@@ -25,22 +25,6 @@ WORKSPACE_HI = 1.0
 
 
 @dataclass(frozen=True)
-class TrajectoryParams:
-    durations: tuple[float, float, float]
-    waypoints: tuple[tuple[float, float], ...]
-
-    @classmethod
-    def from_vector(cls, p) -> "TrajectoryParams":
-        p = np.asarray(p, dtype=float)
-        if p.shape != (9,):
-            raise ValueError(f"expected a 9-vector, got shape {p.shape}")
-        return cls(
-            (float(p[0]), float(p[1]), float(p[2])),
-            ((float(p[3]), float(p[4])), (float(p[5]), float(p[6])), (float(p[7]), float(p[8]))),
-        )
-
-
-@dataclass(frozen=True)
 class Region:
     name: str
     x_lb: float
@@ -78,6 +62,11 @@ class TaskSpec:
     def __post_init__(self):
         if self.sample_rate <= 0:
             raise ValueError("sample_rate must be positive")
+        lo, hi = self.bounds.lower[3:].min(), self.bounds.upper[3:].max()
+        if lo < WORKSPACE_LO or hi > WORKSPACE_HI:
+            raise ValueError(f"bounds.workspace [{lo:g}, {hi:g}] leaves the unit box")
+        if not all(WORKSPACE_LO <= c <= WORKSPACE_HI for c in self.home):
+            raise ValueError(f"home {list(self.home)} lies outside the unit workspace")
         samples = 3 * self.duration_range[1] * self.sample_rate
         if samples > MAX_TRACE_SAMPLES:
             raise ValueError(
@@ -91,15 +80,19 @@ class TaskSpec:
             raise ValueError("formula horizon exceeds the longest possible trajectory")
 
 
-def build_trajectory(params: TrajectoryParams, sample_rate: float, home) -> Trace:
+def build_trajectory(p, sample_rate: float, home) -> Trace:
     """Constant-speed straight segments home -> w1 -> w2 -> w3, sampled at
-    1/sample_rate; the final sample is placed exactly on the last waypoint."""
+    1/sample_rate; the final sample is placed exactly on the last waypoint.
+    p is the 9-vector (d1, d2, d3, x1, y1, x2, y2, x3, y3) of PARAM_NAMES."""
+    p = np.asarray(p, dtype=float)
+    if p.shape != (9,):
+        raise ValueError(f"expected a 9-vector, got shape {p.shape}")
     if sample_rate <= 0:
         raise ValueError("sample_rate must be positive")
-    durations = np.asarray(params.durations, dtype=float)
+    durations = p[:3]
     if np.any(durations <= 0):
         raise ValueError(f"duration below minimum: {durations.tolist()}")
-    points = np.vstack([np.asarray(home, dtype=float), np.asarray(params.waypoints, dtype=float)])
+    points = np.vstack([np.asarray(home, dtype=float), p[3:].reshape(3, 2)])
     if np.any(points < WORKSPACE_LO) or np.any(points > WORKSPACE_HI):
         raise ValueError("waypoint outside the unit workspace")
 
@@ -177,10 +170,10 @@ def _pad_to_horizon(trace: Trace, needed_end: float) -> Trace:
     return Trace(trace.channels, trace.t0, trace.dt, np.vstack([trace.samples, pad]))
 
 
-def evaluation_trace(spec: TaskSpec, params: TrajectoryParams) -> Trace:
-    """The trace the objective scores: built, then held at the final pose
+def evaluation_trace(spec: TaskSpec, p) -> Trace:
+    """The trace the objective scores: p's trajectory, held at the final pose
     through the formula horizon."""
-    trace = build_trajectory(params, spec.sample_rate, spec.home)
+    trace = build_trajectory(p, spec.sample_rate, spec.home)
     return _pad_to_horizon(trace, spec.formula_horizon)
 
 
@@ -195,20 +188,16 @@ def objective_detail(
     and pushes optimizers toward feasible durations.
     """
     p = np.asarray(p, dtype=float)
+    if p.shape != (9,):
+        raise ValueError(f"expected a 9-vector, got shape {p.shape}")
     if not spec.bounds.contains(p, tol=GRID_TOL):
         raise ValueError(f"parameters outside the task bounds: {p.tolist()}")
-    params = TrajectoryParams.from_vector(p)
-    total = float(sum(params.durations))
+    total = float(sum(p[:3]))
     if total + GRID_TOL < spec.min_coverage:
         return -(spec.formula_horizon - total) - 1.0, False, None
-    trace = evaluation_trace(spec, params)
+    trace = evaluation_trace(spec, p)
     value = evaluate(cfg, spec.formula, trace, 0.0).value
     return value, satisfies(spec.formula, trace, 0.0), trace
-
-
-def objective(spec: TaskSpec, cfg: MetricConfig, p) -> float:
-    """Robustness of the trajectory built from p, as a reward to maximize."""
-    return objective_detail(spec, cfg, p)[0]
 
 
 # task config file ----------------------------------------------------------

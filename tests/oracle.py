@@ -333,15 +333,18 @@ def ref_gp_grid_lml(X, y):
     return lml
 
 
-def ref_build_trajectory(params, sample_rate, home):
-    """build_trajectory as one searchsorted and one interpolation per sample;
-    the array version must reproduce it bit for bit."""
+def ref_build_trajectory(p, sample_rate, home):
+    """build_trajectory of the 9-vector p as one searchsorted and one
+    interpolation per sample; the array version must reproduce it bit for bit."""
+    p = np.asarray(p, dtype=float)
+    if p.shape != (9,):
+        raise ValueError(f"expected a 9-vector, got shape {p.shape}")
     if sample_rate <= 0:
         raise ValueError("sample_rate must be positive")
-    durations = np.asarray(params.durations, dtype=float)
+    durations = p[:3]
     if np.any(durations <= 0):
         raise ValueError(f"duration below minimum: {durations.tolist()}")
-    points = np.vstack([np.asarray(home, dtype=float), np.asarray(params.waypoints, dtype=float)])
+    points = np.vstack([np.asarray(home, dtype=float), p[3:].reshape(3, 2)])
     if np.any(points < WORKSPACE_LO) or np.any(points > WORKSPACE_HI):
         raise ValueError("waypoint outside the unit workspace")
 

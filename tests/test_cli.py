@@ -284,6 +284,30 @@ def test_optimize_task_trace_above_the_sample_cap_exit_1(tmp_path, capsys):
     assert err.startswith(f"stlopt: config error: task file {task_path}: bounds.duration and sample_rate")
 
 
+@pytest.mark.parametrize(
+    "edit, field",
+    [
+        (lambda t: t["bounds"].update(workspace=[0, 2]), "bounds.workspace"),
+        (lambda t: t["bounds"].update(workspace=[-0.5, 1]), "bounds.workspace"),
+        (lambda t: t.update(home=[1.5, 0.1]), "home"),
+    ],
+    ids=["workspace-above", "workspace-below", "home"],
+)
+def test_optimize_task_outside_the_unit_workspace_exit_1(tmp_path, capsys, edit, field):
+    from stlopt.task import benchmark_eq2, task_to_json
+
+    task = task_to_json(benchmark_eq2())
+    edit(task)
+    task_path = tmp_path / "task.json"
+    task_path.write_text(json.dumps(task))
+    cfg = {"method": "random", "metric": {"kind": "space"}, "budget": 20, "seeds": [0],
+           "task": str(task_path)}
+    code, err = _optimize_exit_and_error(tmp_path, capsys, cfg)
+    assert code == 1
+    assert err.startswith(f"stlopt: config error: task file {task_path}: {field} ")
+    assert err.count("\n") == 1
+
+
 def test_check_properties_exit_0(capsys):
     assert main(["check-properties", "--samples", "80", "--seed", "42"]) == 0
     out = capsys.readouterr().out

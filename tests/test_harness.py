@@ -7,7 +7,6 @@ from stlopt import ExperimentConfig, MetricConfig, emit_results, run_experiment
 from stlopt.harness import load_task, summary_dict
 from stlopt.task import (
     PARAM_NAMES,
-    TrajectoryParams,
     build_trajectory,
     evaluation_trace,
     objective_detail,
@@ -104,8 +103,7 @@ def test_emit_results_files(tmp_path):
 
     trace_lines = (tmp_path / "trace_best.csv").read_text().splitlines()
     best = max(result.per_seed[0].records, key=lambda r: r.value)
-    params = TrajectoryParams.from_vector(best.params)
-    expected = evaluation_trace(load_task("eq2"), params).n_samples
+    expected = evaluation_trace(load_task("eq2"), best.params).n_samples
     assert len(trace_lines) == expected + 1
 
 
@@ -116,9 +114,7 @@ def test_trace_best_is_the_scored_trace(tmp_path):
     emit_results(result, str(tmp_path))
     best = max(result.per_seed[0].records, key=lambda r: r.value)
     task = result.task
-    built = build_trajectory(
-        TrajectoryParams.from_vector(best.params), task.sample_rate, task.home
-    )
+    built = build_trajectory(best.params, task.sample_rate, task.home)
     value, _, scored = objective_detail(task, result.config.metric, best.params)
     assert value == best.value
     assert scored.n_samples > built.n_samples

@@ -15,7 +15,7 @@ from stlopt.optim import (
 )
 from stlopt.optim import gp
 from stlopt.optim.gp import fit_gp_grid
-from stlopt.task import benchmark_eq2, objective
+from stlopt.task import benchmark_eq2, objective_detail
 from oracle import ref_gp_grid_lml, ref_sq_dists
 
 
@@ -199,7 +199,7 @@ def test_bo_on_eq2_picks_the_cholesky_reference_cell(monkeypatch):
         return model
 
     monkeypatch.setattr(bayes, "fit_gp_grid", checked)
-    optimize(lambda p: objective(spec, cfg, p), spec.bounds, 60, "bo", seed=0)
+    optimize(lambda p: objective_detail(spec, cfg, p)[0], spec.bounds, 60, "bo", seed=0)
     assert len(picks) == 60 - bayes.INIT_DESIGN
     assert all(cell == best for cell, best in picks)
 

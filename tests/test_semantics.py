@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -12,14 +13,10 @@ from stlopt import (
     Not,
     UnalignedTimeError,
     UnknownChannelError,
-    agm_robustness,
     avg_robustness,
     evaluate,
-    lse_robustness,
-    new_robustness,
     parse_formula,
     satisfies,
-    smooth_robustness,
     space_robustness,
     time_robustness_plus,
 )
@@ -28,6 +25,11 @@ from stlopt.semantics import METRIC_KINDS
 
 from conftest import make_trace
 from oracle import brute_sat, brute_space
+
+
+def rho(kind, f, x, **hyper):
+    """The robustness of f on x at time 0 under one configured semantics."""
+    return evaluate(MetricConfig(kind, **hyper), f, x, 0.0).value
 
 
 def test_satisfies_examples():
@@ -65,24 +67,24 @@ def test_space_until_example():
 def test_lse_examples():
     tr1 = make_trace([0.5])
     f = parse_formula("x > 0.4")
-    assert lse_robustness(f, tr1, 0.0, 10.0) == pytest.approx(
+    assert rho("lse", f, tr1, k=10.0) == pytest.approx(
         space_robustness(f, tr1, 0.0)
     )
     tr = make_trace([0.5, 0.45, 0.6])
     g = parse_formula("G[0,2](x > 0.4)")
-    assert abs(lse_robustness(g, tr, 0.0, 100.0) - 0.05) <= math.log(3) / 100
+    assert abs(rho("lse", g, tr, k=100.0) - 0.05) <= math.log(3) / 100
     both = make_trace(np.array([[0.0, 0.0]]), channels=("x", "y"))
     conj = parse_formula("x > 0 & y > 0")
-    assert lse_robustness(conj, both, 0.0, 2.0) == pytest.approx(-math.log(2) / 2)
+    assert rho("lse", conj, both, k=2.0) == pytest.approx(-math.log(2) / 2)
 
 
 def test_smooth_examples():
     tr1 = make_trace([0.5])
     f = parse_formula("x > 0.4")
-    assert smooth_robustness(f, tr1, 0.0, 7.0) == pytest.approx(0.1)
+    assert rho("smooth", f, tr1, k=7.0) == pytest.approx(0.1)
     ones = make_trace(np.array([[1.0, 1.0]]), channels=("x", "y"))
     conj = parse_formula("x > 0 & y > 0")
-    v = smooth_robustness(conj, ones, 0.0, 1.0)
+    v = rho("smooth", conj, ones, k=1.0)
     assert v == pytest.approx(1 - math.log(2))
     assert 0 < v <= space_robustness(conj, ones, 0.0)
 
@@ -90,26 +92,26 @@ def test_smooth_examples():
 def test_smooth_never_exceeds_space_even_with_negation(rng):
     for _ in range(300):
         f, tr = random_instance(rng)
-        assert smooth_robustness(f, tr, 0.0, 10.0) <= space_robustness(f, tr, 0.0) + 1e-9
+        assert rho("smooth", f, tr, k=10.0) <= space_robustness(f, tr, 0.0) + 1e-9
 
 
 def test_agm_examples():
     tr = make_trace([0.5])
-    assert agm_robustness(parse_formula("x > 0.4"), tr, 0.0, {"x": 1.0}) == pytest.approx(0.1)
+    assert rho("agm", parse_formula("x > 0.4"), tr, agm_scales={"x": 1.0}) == pytest.approx(0.1)
     up = make_trace([0.5, 0.5])
-    assert agm_robustness(parse_formula("G[0,1](x > 0)"), up, 0.0, {"x": 1.0}) == pytest.approx(0.5)
+    assert rho("agm", parse_formula("G[0,1](x > 0)"), up, agm_scales={"x": 1.0}) == pytest.approx(0.5)
     mixed = make_trace([0.5, -0.5])
-    assert agm_robustness(parse_formula("G[0,1](x > 0)"), mixed, 0.0, {"x": 1.0}) == pytest.approx(-0.25)
+    assert rho("agm", parse_formula("G[0,1](x > 0)"), mixed, agm_scales={"x": 1.0}) == pytest.approx(-0.25)
 
 
 def test_agm_missing_scale():
     with pytest.raises(MissingAgmScaleError, match="missing agm scale for channel 'y'"):
-        agm_robustness(parse_formula("x > 0 & y > 0"), make_trace(np.zeros((1, 2)), channels=("x", "y")), 0.0, {"x": 1.0})
+        rho("agm", parse_formula("x > 0 & y > 0"), make_trace(np.zeros((1, 2)), channels=("x", "y")), agm_scales={"x": 1.0})
 
 
 def test_agm_clamps_margins():
     tr = make_trace([10.0])
-    assert agm_robustness(parse_formula("x > 0"), tr, 0.0, {"x": 1.0}) == pytest.approx(1.0)
+    assert rho("agm", parse_formula("x > 0"), tr, agm_scales={"x": 1.0}) == pytest.approx(1.0)
 
 
 def test_avg_examples():
@@ -153,11 +155,7 @@ def test_evaluate_dispatch():
 def test_evaluate_matches_direct_functions():
     tr = make_trace([0.5, -0.2, 0.8, 0.1], dt=0.5)
     f = parse_formula("F[0,1](x > 0)")
-    assert evaluate(MetricConfig("lse", k=5.0), f, tr, 0.0).value == lse_robustness(f, tr, 0.0, 5.0)
-    assert evaluate(MetricConfig("smooth", k=5.0), f, tr, 0.0).value == smooth_robustness(f, tr, 0.0, 5.0)
-    assert evaluate(MetricConfig("new", nu=3.0), f, tr, 0.0).value == new_robustness(f, tr, 0.0, 3.0)
     assert evaluate(MetricConfig("avg"), f, tr, 0.0).value == avg_robustness(f, tr, 0.0)
-    assert evaluate(MetricConfig("agm", agm_scales={"x": 1.0}), f, tr, 0.0).value == agm_robustness(f, tr, 0.0, {"x": 1.0})
     assert evaluate(MetricConfig("time"), f, tr, 0.0).value == time_robustness_plus(f, tr, 0.0).value
 
 
@@ -193,21 +191,33 @@ def test_metric_config_validation():
             MetricConfig("agm", **bad)
 
 
+def test_metric_config_keeps_the_scales_it_checked():
+    scales = {"x": 1.0}
+    cfg = MetricConfig("agm", agm_scales=scales)
+    scales["x"] = 0.0
+    with pytest.raises(TypeError):
+        cfg.agm_scales["x"] = 0.0
+    assert dict(cfg.agm_scales) == {"x": 1.0}
+    again = dataclasses.replace(cfg, k=5.0)
+    assert dict(again.agm_scales) == {"x": 1.0} and again.k == 5.0
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, True])
 @pytest.mark.parametrize(
-    "call",
+    "hyper",
     [
-        lambda f, x, bad: lse_robustness(f, x, 0.0, bad),
-        lambda f, x, bad: smooth_robustness(f, x, 0.0, bad),
-        lambda f, x, bad: new_robustness(f, x, 0.0, bad),
-        lambda f, x, bad: agm_robustness(f, x, 0.0, {"x": bad}),
+        lambda bad: dict(kind="lse", k=bad),
+        lambda bad: dict(kind="smooth", k=bad),
+        lambda bad: dict(kind="new", nu=bad),
+        lambda bad: dict(kind="agm", agm_scales={"x": bad}),
     ],
     ids=["lse", "smooth", "new", "agm"],
 )
-def test_direct_semantics_reject_bad_scale(call, bad):
-    # these once returned nan; only evaluate() was guarded, by MetricConfig
+def test_direct_semantics_reject_bad_scale(hyper, bad):
+    # MetricConfig is the one place a semantics gets its hyperparameters, so
+    # a bad scale never reaches the walker (where it used to yield nan)
     with pytest.raises(ValueError, match="must be positive and finite"):
-        call(parse_formula("F[0,1](x > 0.2)"), make_trace([0.1, 0.3]), bad)
+        MetricConfig(**hyper(bad))
 
 
 def test_de_morgan_boolean(rng):
@@ -238,7 +248,7 @@ def test_new_sign_matches_space(rng):
     for _ in range(300):
         f, tr = random_instance(rng)
         s = space_robustness(f, tr, 0.0)
-        n = new_robustness(f, tr, 0.0, 2.0)
+        n = rho("new", f, tr, nu=2.0)
         if abs(s) > 1e-9 and abs(n) > 1e-9:
             assert np.sign(s) == np.sign(n)
 

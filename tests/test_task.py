@@ -9,14 +9,12 @@ from stlopt import (
     build_trajectory,
     format_formula,
     horizon,
-    objective,
     objective_detail,
     parse_formula,
     satisfies,
 )
 from stlopt.task import (
     MAX_TRACE_SAMPLES,
-    TrajectoryParams,
     _min_coverage,
     _pad_to_horizon,
     evaluation_trace,
@@ -28,6 +26,11 @@ from stlopt.task import (
 from oracle import ref_build_trajectory
 
 
+def vector(durations, waypoints):
+    """The 9-vector of three durations and three (x, y) waypoints."""
+    return np.concatenate([durations, np.ravel(waypoints)]).astype(float)
+
+
 def centers_vector(spec, durations=(3.5, 5.5, 4.5)):
     c = [r.center for r in spec.regions]
     return np.array(list(durations) + [c[0][0], c[0][1], c[1][0], c[1][1], c[2][0], c[2][1]])
@@ -35,27 +38,27 @@ def centers_vector(spec, durations=(3.5, 5.5, 4.5)):
 
 def test_single_segment_linear_profile():
     # one effective segment: all three waypoints at the end point
-    p = TrajectoryParams((0.5, 0.25, 0.25), ((0.5, 0.0), (0.75, 0.0), (1.0, 0.0)))
+    p = vector((0.5, 0.25, 0.25), ((0.5, 0.0), (0.75, 0.0), (1.0, 0.0)))
     tr = build_trajectory(p, 10.0, (0.0, 0.0))
     np.testing.assert_allclose(tr.column("x"), np.linspace(0.0, 1.0, 11), atol=1e-9)
     np.testing.assert_allclose(tr.column("y"), 0.0, atol=1e-12)
 
 
 def test_constant_trace_when_waypoints_equal_home():
-    p = TrajectoryParams((1.0, 1.0, 1.0), ((0.3, 0.3),) * 3)
+    p = vector((1.0, 1.0, 1.0), ((0.3, 0.3),) * 3)
     tr = build_trajectory(p, 10.0, (0.3, 0.3))
     assert np.allclose(tr.samples, 0.3)
 
 
 def test_sample_count_formula():
-    p = TrajectoryParams((3.0, 5.0, 5.0), ((0.2, 0.2), (0.4, 0.4), (0.6, 0.6)))
+    p = vector((3.0, 5.0, 5.0), ((0.2, 0.2), (0.4, 0.4), (0.6, 0.6)))
     tr = build_trajectory(p, 10.0, (0.1, 0.1))
     assert tr.n_samples == 131
     assert tr.end_time == pytest.approx(13.0)
 
 
 def test_final_sample_on_last_waypoint_even_off_grid():
-    p = TrajectoryParams((1.03, 1.04, 1.06), ((0.2, 0.9), (0.8, 0.8), (0.7, 0.1)))
+    p = vector((1.03, 1.04, 1.06), ((0.2, 0.9), (0.8, 0.8), (0.7, 0.1)))
     tr = build_trajectory(p, 10.0, (0.1, 0.1))
     assert tr.n_samples == round(3.13 * 10) + 1
     np.testing.assert_allclose(tr.samples[-1], [0.7, 0.1], atol=1e-9)
@@ -63,14 +66,14 @@ def test_final_sample_on_last_waypoint_even_off_grid():
 
 def test_builder_validation():
     with pytest.raises(ValueError, match="duration"):
-        build_trajectory(TrajectoryParams((0.0, 1.0, 1.0), ((0.5, 0.5),) * 3), 10.0, (0, 0))
+        build_trajectory(vector((0.0, 1.0, 1.0), ((0.5, 0.5),) * 3), 10.0, (0, 0))
     with pytest.raises(ValueError, match="workspace"):
-        build_trajectory(TrajectoryParams((1.0, 1.0, 1.0), ((1.5, 0.5),) * 3), 10.0, (0, 0))
+        build_trajectory(vector((1.0, 1.0, 1.0), ((1.5, 0.5),) * 3), 10.0, (0, 0))
 
 
-def _assert_same_build(params, sample_rate, home):
-    got = build_trajectory(params, sample_rate, home)
-    ref = ref_build_trajectory(params, sample_rate, home)
+def _assert_same_build(p, sample_rate, home):
+    got = build_trajectory(p, sample_rate, home)
+    ref = ref_build_trajectory(p, sample_rate, home)
     assert got.dt == ref.dt
     assert got.n_samples == ref.n_samples
     assert np.array_equal(got.samples, ref.samples)
@@ -94,13 +97,13 @@ def test_build_matches_per_sample_reference(sample_rate):
     rng = np.random.default_rng(2024)
     for _ in range(500):
         p = spec.bounds.lower + rng.uniform(size=9) * spec.bounds.width
-        _assert_same_build(TrajectoryParams.from_vector(p), sample_rate, spec.home)
+        _assert_same_build(p, sample_rate, spec.home)
     for durations, waypoints, home in EDGE_BUILDS:
-        _assert_same_build(TrajectoryParams(durations, waypoints), sample_rate, home)
+        _assert_same_build(vector(durations, waypoints), sample_rate, home)
 
 
 def test_single_sample_when_total_under_half_a_period():
-    p = TrajectoryParams((0.01, 0.01, 0.02), ((0.2, 0.9), (0.8, 0.8), (0.7, 0.1)))
+    p = vector((0.01, 0.01, 0.02), ((0.2, 0.9), (0.8, 0.8), (0.7, 0.1)))
     tr = build_trajectory(p, 10.0, (0.1, 0.1))
     assert tr.n_samples == 1
     assert np.array_equal(tr.samples, [[0.1, 0.1]])
@@ -120,10 +123,10 @@ def test_single_sample_when_total_under_half_a_period():
 def test_build_and_reference_reject_the_same_input(
     durations, waypoints, home, sample_rate, message
 ):
-    params = TrajectoryParams(durations, waypoints)
+    p = vector(durations, waypoints)
     for build in (build_trajectory, ref_build_trajectory):
         with pytest.raises(ValueError, match=message):
-            build(params, sample_rate, home)
+            build(p, sample_rate, home)
 
 
 def test_evaluation_trace_pads_the_reference_build():
@@ -131,9 +134,8 @@ def test_evaluation_trace_pads_the_reference_build():
     rng = np.random.default_rng(7)
     for _ in range(100):
         p = spec.bounds.lower + rng.uniform(size=9) * spec.bounds.width
-        params = TrajectoryParams.from_vector(p)
-        got = evaluation_trace(spec, params)
-        built = ref_build_trajectory(params, spec.sample_rate, spec.home)
+        got = evaluation_trace(spec, p)
+        built = ref_build_trajectory(p, spec.sample_rate, spec.home)
         ref = _pad_to_horizon(built, horizon(spec.formula))
         assert got.dt == ref.dt
         assert np.array_equal(got.samples, ref.samples)
@@ -143,13 +145,12 @@ def test_continuity_and_reset(rng):
     spec = benchmark_eq2()
     for _ in range(50):
         p = spec.bounds.lower + rng.uniform(size=9) * spec.bounds.width
-        params = TrajectoryParams.from_vector(p)
-        tr = build_trajectory(params, spec.sample_rate, spec.home)
+        tr = build_trajectory(p, spec.sample_rate, spec.home)
         np.testing.assert_allclose(tr.samples[0], spec.home, atol=1e-12)
         # step length bounded by the per-segment speed of the built trace
-        nodes = np.vstack([spec.home, params.waypoints])
+        nodes = np.vstack([spec.home, p[3:].reshape(3, 2)])
         seg_len = np.linalg.norm(np.diff(nodes, axis=0), axis=1)
-        durations = np.asarray(params.durations)
+        durations = p[:3]
         total = durations.sum()
         steps = tr.n_samples - 1
         scaled = durations * (steps * tr.dt) / total
@@ -207,7 +208,7 @@ def test_objective_is_pure():
     spec = benchmark_eq2()
     cfg = MetricConfig("new")
     p = centers_vector(spec)
-    assert objective(spec, cfg, p) == objective(spec, cfg, p)
+    assert objective_detail(spec, cfg, p)[0] == objective_detail(spec, cfg, p)[0]
 
 
 def test_objective_rejects_out_of_bounds():
@@ -215,13 +216,12 @@ def test_objective_rejects_out_of_bounds():
     p = centers_vector(spec)
     p[0] = 11.0
     with pytest.raises(ValueError, match="outside the task bounds"):
-        objective(spec, MetricConfig("space"), p)
+        objective_detail(spec, MetricConfig("space"), p)
 
 
 def test_padding_covers_horizon():
     spec = benchmark_eq2()
-    params = TrajectoryParams.from_vector(centers_vector(spec))
-    tr = evaluation_trace(spec, params)
+    tr = evaluation_trace(spec, centers_vector(spec))
     assert tr.end_time >= horizon(spec.formula) - 1e-9
     # held samples repeat the final waypoint
     np.testing.assert_allclose(tr.samples[-1], tr.samples[-5], atol=1e-12)
@@ -295,3 +295,40 @@ def test_task_accepts_traces_below_the_sample_cap():
     data["bounds"]["duration"] = [1.0, 1e4]
     data["sample_rate"] = 33.0  # 990 000 samples
     assert task_from_json(data).sample_rate == 33.0
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda d: d["bounds"].update(workspace=[0, 2]), r"^bounds\.workspace \[0, 2\] leaves"),
+        (lambda d: d["bounds"].update(workspace=[-0.1, 0.9]), r"^bounds\.workspace \[-0\.1, 0\.9\] leaves"),
+        (lambda d: d.update(home=[0.1, 1.2]), r"^home \[0\.1, 1\.2\] lies outside"),
+        (lambda d: d.update(home=[-0.01, 0.5]), r"^home \[-0\.01, 0\.5\] lies outside"),
+    ],
+    ids=["workspace-above", "workspace-below", "home-above", "home-below"],
+)
+def test_task_rejects_a_workspace_or_home_outside_the_unit_box(edit, message):
+    data = task_to_json(benchmark_eq2())
+    edit(data)
+    with pytest.raises(ValueError, match=message):
+        task_from_json(data)
+
+
+def test_task_accepts_a_narrower_workspace():
+    data = task_to_json(benchmark_eq2())
+    data["bounds"]["workspace"] = [0.2, 0.8]
+    data["home"] = [1.0, 0.0]  # the unit box's corners are allowed
+    spec = task_from_json(data)
+    np.testing.assert_array_equal(spec.bounds.lower[3:], 0.2)
+    np.testing.assert_array_equal(spec.bounds.upper[3:], 0.8)
+    assert spec.home == (1.0, 0.0)
+
+
+@pytest.mark.parametrize("shape", [(8,), (10,), (3, 3), (1, 9)])
+def test_build_and_objective_reject_a_vector_that_is_not_9_long(shape):
+    spec = benchmark_eq2()
+    p = np.full(shape, 0.5)
+    with pytest.raises(ValueError, match="expected a 9-vector"):
+        build_trajectory(p, spec.sample_rate, spec.home)
+    with pytest.raises(ValueError, match="expected a 9-vector"):
+        objective_detail(spec, MetricConfig("space"), p)

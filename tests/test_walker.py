@@ -11,22 +11,20 @@ import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
 from stlopt import (
+    MetricConfig,
     Trace,
-    agm_robustness,
     avg_robustness,
     benchmark_eq2,
+    evaluate,
     horizon,
-    lse_robustness,
-    new_robustness,
     parse_formula,
     satisfies,
     semantics,
-    smooth_robustness,
     space_robustness,
     time_robustness_plus,
 )
 from stlopt.properties import random_instance
-from stlopt.task import TrajectoryParams, _min_coverage, evaluation_trace
+from stlopt.task import _min_coverage, evaluation_trace
 
 from oracle import ref_robustness, ref_satisfies, ref_time
 
@@ -39,10 +37,10 @@ def assert_matches_reference(f, x, t, scales, avg_ok):
     assert (r.value, r.chi, r.truncated) == ref_time(f, x, t)
     got = {
         "space": space_robustness(f, x, t),
-        "lse": lse_robustness(f, x, t, K),
-        "smooth": smooth_robustness(f, x, t, K),
-        "agm": agm_robustness(f, x, t, scales),
-        "new": new_robustness(f, x, t, NU),
+        "lse": evaluate(MetricConfig("lse", k=K), f, x, t).value,
+        "smooth": evaluate(MetricConfig("smooth", k=K), f, x, t).value,
+        "agm": evaluate(MetricConfig("agm", agm_scales=scales), f, x, t).value,
+        "new": evaluate(MetricConfig("new", nu=NU), f, x, t).value,
     }
     if avg_ok:
         got["avg"] = avg_robustness(f, x, t)
@@ -76,10 +74,9 @@ def test_eq2_evaluation_traces():
         if i % 2:
             spread = np.array([0.5] * 3 + [0.03] * 6)
             p = np.clip(near + spread * rng.standard_normal(9), task.bounds.lower, task.bounds.upper)
-        params = TrajectoryParams.from_vector(p)
-        if sum(params.durations) < _min_coverage(task.formula):
+        if sum(p[:3]) < _min_coverage(task.formula):
             continue
-        x = evaluation_trace(task, params)
+        x = evaluation_trace(task, p)
         assert_matches_reference(task.formula, x, 0.0, {"x": 1.0, "y": 1.0}, True)
         verdicts.append(satisfies(task.formula, x, 0.0))
     assert len(verdicts) >= 40 and any(verdicts) and not all(verdicts)
