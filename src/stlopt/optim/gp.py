@@ -6,6 +6,9 @@ Hyperparameters are chosen by log-marginal-likelihood (Rasmussen &
 Williams, GPML eq. 5.8) over a fixed logarithmic grid, which keeps the fit
 deterministic.  The whole grid is scored from one eigendecomposition of the
 correlation matrix per lengthscale; only the chosen triple is factorized.
+The factor L (K = L L^T) is used through ``np.linalg.solve``: alpha =
+K^-1 y takes one solve with L and one with L^T, and the predictive variance
+solves L v = k_*^T.  numpy is the only runtime dependency.
 
 Squared distances are built one (q, m) input plane at a time and added in
 place in the order of numpy's pairwise summation (`pairwise_sum` in
@@ -19,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
 
 _NOISE_CEILING = 1e-2
 
@@ -123,7 +125,7 @@ def gp_fit(X, y, lengthscale: float, sigma_f2: float, sigma_n2: float) -> GpMode
                     "kernel matrix not positive definite even at noise 1e-2"
                 ) from None
             noise = min(noise * 10.0, _NOISE_CEILING)
-    alpha = cho_solve((L, True), ys, check_finite=False)
+    alpha = np.linalg.solve(L.T, np.linalg.solve(L, ys))
     return GpModel(X, y_mean, y_std, lengthscale, sigma_f2, noise, L, alpha)
 
 
@@ -141,7 +143,7 @@ def gp_predict(model: GpModel, Xq) -> tuple[np.ndarray, np.ndarray]:
     """Posterior mean and variance (de-standardized) at query points."""
     k_star = _k_star(model, Xq)
     mean_s = k_star @ model.alpha
-    v = solve_triangular(model.chol_lower, k_star.T, lower=True, check_finite=False)
+    v = np.linalg.solve(model.chol_lower, k_star.T)
     var_s = model.sigma_f2 - np.sum(v * v, axis=0)
     var_s = np.maximum(var_s, 0.0)
     return model.y_mean + model.y_std * mean_s, (model.y_std**2) * var_s

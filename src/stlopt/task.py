@@ -62,6 +62,10 @@ class TaskSpec:
     def __post_init__(self):
         if self.sample_rate <= 0:
             raise ValueError("sample_rate must be positive")
+        if self.duration_range[0] <= 0:
+            raise ValueError(
+                f"bounds.duration lower bound {self.duration_range[0]:g} must be positive"
+            )
         lo, hi = self.bounds.lower[3:].min(), self.bounds.upper[3:].max()
         if lo < WORKSPACE_LO or hi > WORKSPACE_HI:
             raise ValueError(f"bounds.workspace [{lo:g}, {hi:g}] leaves the unit box")
@@ -218,7 +222,7 @@ def task_to_json(spec: TaskSpec) -> dict:
         "home": list(spec.home),
         "bounds": {
             "duration": list(spec.duration_range),
-            "workspace": [WORKSPACE_LO, WORKSPACE_HI],
+            "workspace": [float(spec.bounds.lower[3]), float(spec.bounds.upper[3])],
         },
         "sample_rate": spec.sample_rate,
         "formula": format_formula(spec.formula),

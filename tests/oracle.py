@@ -5,13 +5,13 @@ time by scanning the whole grid, recompute margins inline, and use Python's
 min/max directly.  They share no code with the library, so the two can
 disagree.  The ref_* functions below are the per-sample reference for all
 the library's semantics and aggregators, for the GP hyperparameter grid and
-for the eq2 trajectory builder.
+posterior, and for the eq2 trajectory builder.
 """
 
 import math
 
 import numpy as np
-from scipy.linalg import cho_solve
+from scipy.linalg import cho_solve, solve_triangular
 
 from stlopt.exceptions import AgmDomainError
 from stlopt.formula import And, Eventually, Globally, Not, Or, Pred, Until, horizon
@@ -331,6 +331,22 @@ def ref_gp_grid_lml(X, y):
                     -0.5 * float(ys @ alpha) - float(np.sum(np.log(np.diag(L)))) - const
                 )
     return lml
+
+
+def ref_gp_posterior(model, y, Xq):
+    """(L, alpha, mean, variance) of the GP with model's inputs and
+    hyperparameters (its noise after any escalation), fitted to y and
+    queried at Xq, through scipy's Cholesky solves: alpha =
+    cho_solve(L, y_s) and the variance from solve_triangular(L, k_*^T)."""
+    ys, y_mean, y_std = gp._standardize(np.asarray(y, dtype=float).ravel())
+    scale = 2.0 * model.lengthscale * model.lengthscale
+    K = model.sigma_f2 * np.exp(-ref_sq_dists(model.x, model.x) / scale)
+    L = np.linalg.cholesky(K + model.sigma_n2 * np.eye(ys.size))
+    alpha = cho_solve((L, True), ys, check_finite=False)
+    k_star = model.sigma_f2 * np.exp(-ref_sq_dists(np.asarray(Xq, dtype=float), model.x) / scale)
+    v = solve_triangular(L, k_star.T, lower=True, check_finite=False)
+    var = np.maximum(model.sigma_f2 - np.sum(v * v, axis=0), 0.0)
+    return L, alpha, y_mean + y_std * (k_star @ alpha), y_std**2 * var
 
 
 def ref_build_trajectory(p, sample_rate, home):

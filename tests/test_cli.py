@@ -284,6 +284,21 @@ def test_optimize_task_trace_above_the_sample_cap_exit_1(tmp_path, capsys):
     assert err.startswith(f"stlopt: config error: task file {task_path}: bounds.duration and sample_rate")
 
 
+@pytest.mark.parametrize("lower", [-1, 0])
+def test_optimize_task_duration_lower_bound_not_positive_exit_1(tmp_path, capsys, lower):
+    from stlopt.task import benchmark_eq2, task_to_json
+
+    task = task_to_json(benchmark_eq2())
+    task["bounds"]["duration"] = [lower, 10]
+    task_path = tmp_path / "task.json"
+    task_path.write_text(json.dumps(task))
+    cfg = {"method": "random", "metric": {"kind": "space"}, "budget": 20, "seeds": [0],
+           "task": str(task_path)}
+    code, err = _optimize_exit_and_error(tmp_path, capsys, cfg)
+    assert code == 1
+    assert err.startswith(f"stlopt: config error: task file {task_path}: bounds.duration ")
+
+
 @pytest.mark.parametrize(
     "edit, field",
     [

@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -16,7 +19,7 @@ from stlopt.optim import (
 from stlopt.optim import gp
 from stlopt.optim.gp import fit_gp_grid
 from stlopt.task import benchmark_eq2, objective_detail
-from oracle import ref_gp_grid_lml, ref_sq_dists
+from oracle import ref_gp_grid_lml, ref_gp_posterior, ref_sq_dists
 
 
 def unit_box(n):
@@ -362,6 +365,36 @@ def test_gp_posterior_is_unchanged_by_the_plane_sum(monkeypatch, m):
     assert np.array_equal(model.alpha, ref_model.alpha)
     assert np.array_equal(mean, ref_mean)
     assert np.array_equal(pmean, ref_pmean) and np.array_equal(pvar, ref_pvar)
+
+
+def test_importing_stlopt_loads_no_scipy():
+    # numpy is the only runtime dependency; scipy is a test reference only
+    code = "import sys, stlopt.cli; print('scipy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.stdout == "False\n", proc.stderr
+
+
+@pytest.mark.parametrize("m", [10, 30, 59])
+def test_gp_posterior_matches_the_scipy_cholesky_reference(m):
+    # numpy's general solve and scipy's triangular solves round differently;
+    # the gap measured at these sizes is at most 1.1e-15 of the largest
+    # reference entry, and the tolerance is 1e-12 of it
+    rng = np.random.default_rng(m)
+    X, Xq = rng.uniform(size=(m, 9)), rng.uniform(size=(2112, 9))
+    y = np.sin(3 * X.sum(axis=1)) + 0.1 * rng.normal(size=m)
+    model = fit_gp_grid(X, y)
+    L, alpha, mean, var = ref_gp_posterior(model, y, Xq)
+
+    def assert_close(actual, ref):
+        assert np.max(np.abs(actual - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    assert np.array_equal(model.chol_lower, L)
+    assert_close(model.alpha, alpha)
+    assert_close(gp.gp_mean(model, Xq), mean)
+    pmean, pvar = gp_predict(model, Xq)
+    assert_close(pmean, mean)
+    assert_close(pvar, var)
+
 
 def test_random_search_deterministic():
     b = unit_box(3)

@@ -324,6 +324,23 @@ def test_task_accepts_a_narrower_workspace():
     assert spec.home == (1.0, 0.0)
 
 
+def test_task_json_roundtrip_keeps_a_narrower_workspace():
+    data = task_to_json(benchmark_eq2())
+    data["bounds"]["workspace"] = [0.2, 0.8]
+    spec = task_from_json(data)
+    again = task_from_json(task_to_json(spec))
+    np.testing.assert_array_equal(again.bounds.lower, spec.bounds.lower)
+    np.testing.assert_array_equal(again.bounds.upper, spec.bounds.upper)
+
+
+@pytest.mark.parametrize("lower", [-1, 0])
+def test_task_rejects_a_duration_lower_bound_that_is_not_positive(lower):
+    data = task_to_json(benchmark_eq2())
+    data["bounds"]["duration"] = [lower, 10]
+    with pytest.raises(ValueError, match=rf"^bounds\.duration lower bound {lower} must be positive"):
+        task_from_json(data)
+
+
 @pytest.mark.parametrize("shape", [(8,), (10,), (3, 3), (1, 9)])
 def test_build_and_objective_reject_a_vector_that_is_not_9_long(shape):
     spec = benchmark_eq2()
