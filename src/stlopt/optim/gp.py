@@ -4,11 +4,13 @@ the expected-improvement acquisition.
 Inputs are expected in the unit box; outputs are standardized internally.
 Hyperparameters are chosen by log-marginal-likelihood (Rasmussen &
 Williams, GPML eq. 5.8) over a fixed logarithmic grid, which keeps the fit
-deterministic.  The whole grid is scored from one eigendecomposition of the
-correlation matrix per lengthscale; only the chosen triple is factorized.
-The factor L (K = L L^T) is used through ``np.linalg.solve``: alpha =
-K^-1 y takes one solve with L and one with L^T, and the predictive variance
-solves L v = k_*^T.  numpy is the only runtime dependency.
+deterministic.  Each lengthscale's correlation matrix is eigendecomposed
+once, R = Q diag(lam) Q^T, and nothing else is factorized: K + sigma_n2 I =
+Q diag(e) Q^T with e = sigma_f2 lam + sigma_n2 scores the whole grid and
+gives the chosen cell's posterior (GPML section 2.2), alpha = Q (Q^T y / e)
+and variance sigma_f2 - sum_j (k_* Q)_j^2 / e_j.  A fit with some e <= 0
+raises np.linalg.LinAlgError; the noise is never raised.  numpy is the only
+runtime dependency.
 
 Squared distances are built one (q, m) input plane at a time and added in
 place in the order of numpy's pairwise summation (`pairwise_sum` in
@@ -23,8 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-_NOISE_CEILING = 1e-2
-
 _ELL_GRID = np.logspace(math.log10(0.01), math.log10(10.0), 10)
 _SF2_GRID = np.logspace(math.log10(0.01), math.log10(100.0), 10)
 _SN2_GRID = np.logspace(-8, -2, 10)
@@ -38,7 +38,8 @@ class GpModel:
     lengthscale: float
     sigma_f2: float
     sigma_n2: float
-    chol_lower: np.ndarray  # L with L L^T = K + sigma_n2 I
+    eigvecs: np.ndarray  # Q with K + sigma_n2 I = Q diag(eigvals) Q^T
+    eigvals: np.ndarray  # e = sigma_f2 lam + sigma_n2, all > 0
     alpha: np.ndarray
 
 
@@ -103,30 +104,28 @@ def _standardize(y: np.ndarray) -> tuple[np.ndarray, float, float]:
 
 
 def gp_fit(X, y, lengthscale: float, sigma_f2: float, sigma_n2: float) -> GpModel:
-    """Fit with fixed hyperparameters; the noise floor escalates x10 (up to
-    1e-2) if the Cholesky fails, so duplicate inputs are harmless."""
+    """Fit with fixed hyperparameters from one eigh of the correlation matrix;
+    the noise is never raised, so some e <= 0 raises np.linalg.LinAlgError."""
+    hyper = {"lengthscale": lengthscale, "sigma_f2": sigma_f2, "sigma_n2": sigma_n2}
+    for name, value in hyper.items():
+        if not (math.isfinite(value) and value > 0.0):
+            raise ValueError(f"{name} must be finite and positive, got {value!r}")
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.asarray(y, dtype=float).ravel()
+    lam, Q = np.linalg.eigh(np.exp(-_sq_dists(X, X) / (2.0 * lengthscale * lengthscale)))
+    return _posterior(X, y, lengthscale, sigma_f2, sigma_n2, lam, Q)
+
+
+def _posterior(X, y, lengthscale, sigma_f2, sigma_n2, lam, Q) -> GpModel:
+    """The GP on (X, y) whose correlation matrix is Q diag(lam) Q^T."""
     if X.shape[0] != y.size or y.size < 1:
         raise ValueError("need one output per training input")
+    e = sigma_f2 * lam + sigma_n2
+    if not np.all(e > 0.0):
+        raise np.linalg.LinAlgError("kernel matrix not positive definite")
     ys, y_mean, y_std = _standardize(y)
-
-    d2 = _sq_dists(X, X)
-    eye = np.eye(y.size)
-    noise = sigma_n2
-    while True:
-        K = _kernel(d2, lengthscale, sigma_f2) + noise * eye
-        try:
-            L = np.linalg.cholesky(K)
-            break
-        except np.linalg.LinAlgError:
-            if noise >= _NOISE_CEILING:
-                raise np.linalg.LinAlgError(
-                    "kernel matrix not positive definite even at noise 1e-2"
-                ) from None
-            noise = min(noise * 10.0, _NOISE_CEILING)
-    alpha = np.linalg.solve(L.T, np.linalg.solve(L, ys))
-    return GpModel(X, y_mean, y_std, lengthscale, sigma_f2, noise, L, alpha)
+    alpha = Q @ ((Q.T @ ys) / e)
+    return GpModel(X, y_mean, y_std, lengthscale, sigma_f2, sigma_n2, Q, e, alpha)
 
 
 def _k_star(model: GpModel, Xq) -> np.ndarray:
@@ -143,8 +142,8 @@ def gp_predict(model: GpModel, Xq) -> tuple[np.ndarray, np.ndarray]:
     """Posterior mean and variance (de-standardized) at query points."""
     k_star = _k_star(model, Xq)
     mean_s = k_star @ model.alpha
-    v = np.linalg.solve(model.chol_lower, k_star.T)
-    var_s = model.sigma_f2 - np.sum(v * v, axis=0)
+    v = k_star @ model.eigvecs
+    var_s = model.sigma_f2 - np.sum(v * v / model.eigvals, axis=1)
     var_s = np.maximum(var_s, 0.0)
     return model.y_mean + model.y_std * mean_s, (model.y_std**2) * var_s
 
@@ -160,8 +159,8 @@ def fit_gp_grid(X, y) -> GpModel:
     e = sigma_f2 lam + sigma_n2 and, with b = Q^T y, the LML (GPML eq. 5.8)
     of every (sigma_f2, sigma_n2) pair is -1/2 sum(b^2 / e) - 1/2 sum(log e)
     up to a constant.  A cell with some e <= 0 scores -inf.  The first
-    maximum in (lengthscale, sigma_f2, sigma_n2) order wins; only the chosen
-    triple is factorized, by gp_fit.
+    maximum in (lengthscale, sigma_f2, sigma_n2) order wins and its posterior
+    reuses (lam, Q); with no finite cell, (0, 0, 0) raises LinAlgError.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.asarray(y, dtype=float).ravel()
@@ -169,15 +168,17 @@ def fit_gp_grid(X, y) -> GpModel:
     d2 = _sq_dists(X, X)
     lam = np.empty((_ELL_GRID.size, ys.size))
     b2 = np.empty_like(lam)
+    Q = np.empty((_ELL_GRID.size, ys.size, ys.size))
     for i, ell in enumerate(_ELL_GRID):
-        lam[i], Q = np.linalg.eigh(np.exp(-d2 / (2.0 * ell * ell)))
-        b2[i] = (Q.T @ ys) ** 2
+        lam[i], Q[i] = np.linalg.eigh(np.exp(-d2 / (2.0 * ell * ell)))
+        b2[i] = (Q[i].T @ ys) ** 2
     e = _SF2_GRID[:, None, None] * lam[:, None, None] + _SN2_GRID[:, None]  # (ell, sf2, sn2, m)
     with np.errstate(divide="ignore", invalid="ignore"):
         lml = -0.5 * np.sum(b2[:, None, None] / e + np.log(e), axis=-1)
     lml[np.any(e <= 0.0, axis=-1)] = -np.inf
     i, j, k = np.unravel_index(np.argmax(lml), lml.shape)
-    return gp_fit(X, y, float(_ELL_GRID[i]), float(_SF2_GRID[j]), float(_SN2_GRID[k]))
+    ell, sf2, sn2 = float(_ELL_GRID[i]), float(_SF2_GRID[j]), float(_SN2_GRID[k])
+    return _posterior(X, y, ell, sf2, sn2, lam[i], Q[i])
 
 
 def _norm_cdf(z: float) -> float:

@@ -237,12 +237,17 @@ def _region_from_json(data) -> Region:
     )
 
 
+def _interval(value) -> list[float]:
+    lo, hi = list_of(number, 2)(value)
+    if not hi > lo:
+        raise ValueError(f"upper bound {hi:g} must exceed lower bound {lo:g}")
+    return [lo, hi]
+
+
 def task_from_json(data: dict) -> TaskSpec:
     regions = tuple(json_field(data, "regions", list_of(_region_from_json)))
-    duration_range = tuple(json_field(data, "bounds.duration", list_of(number, 2)))
-    workspace = json_field(
-        data, "bounds.workspace", list_of(number, 2), [WORKSPACE_LO, WORKSPACE_HI]
-    )
+    duration_range = tuple(json_field(data, "bounds.duration", _interval))
+    workspace = json_field(data, "bounds.workspace", _interval, [WORKSPACE_LO, WORKSPACE_HI])
     formula_text = json_field(data, "formula", optional_text, None)
     if formula_text:
         try:

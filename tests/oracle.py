@@ -335,9 +335,9 @@ def ref_gp_grid_lml(X, y):
 
 def ref_gp_posterior(model, y, Xq):
     """(L, alpha, mean, variance) of the GP with model's inputs and
-    hyperparameters (its noise after any escalation), fitted to y and
-    queried at Xq, through scipy's Cholesky solves: alpha =
-    cho_solve(L, y_s) and the variance from solve_triangular(L, k_*^T)."""
+    hyperparameters, fitted to y and queried at Xq, through scipy's
+    Cholesky solves: alpha = cho_solve(L, y_s) and the variance from
+    solve_triangular(L, k_*^T)."""
     ys, y_mean, y_std = gp._standardize(np.asarray(y, dtype=float).ravel())
     scale = 2.0 * model.lengthscale * model.lengthscale
     K = model.sigma_f2 * np.exp(-ref_sq_dists(model.x, model.x) / scale)

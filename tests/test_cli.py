@@ -299,6 +299,24 @@ def test_optimize_task_duration_lower_bound_not_positive_exit_1(tmp_path, capsys
     assert err.startswith(f"stlopt: config error: task file {task_path}: bounds.duration ")
 
 
+@pytest.mark.parametrize("field, pair", [("duration", [5, 1]), ("workspace", [0.8, 0.2])])
+def test_optimize_task_reversed_bounds_pair_exit_1(tmp_path, capsys, field, pair):
+    from stlopt.task import benchmark_eq2, task_to_json
+
+    task = task_to_json(benchmark_eq2())
+    task["bounds"][field] = pair
+    task_path = tmp_path / "task.json"
+    task_path.write_text(json.dumps(task))
+    cfg = {"method": "random", "metric": {"kind": "space"}, "budget": 20, "seeds": [0],
+           "task": str(task_path)}
+    code, err = _optimize_exit_and_error(tmp_path, capsys, cfg)
+    assert code == 1
+    assert err == (
+        f"stlopt: config error: task file {task_path}: bounds.{field}: "
+        f"upper bound {pair[1]:g} must exceed lower bound {pair[0]:g}\n"
+    )
+
+
 @pytest.mark.parametrize(
     "edit, field",
     [

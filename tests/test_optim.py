@@ -208,17 +208,28 @@ def test_bo_on_eq2_picks_the_cholesky_reference_cell(monkeypatch):
 
 
 def test_gp_grid_fit_factorizes_once(monkeypatch):
-    shapes = []
-    cholesky = np.linalg.cholesky
+    # the grid's ten eigendecompositions are a fit's only factorizations;
+    # gp_fit makes one, and the posterior reuses it
+    calls = []
 
-    def counted(a):
-        shapes.append(a.shape)
-        return cholesky(a)
+    def counted(name):
+        original = getattr(np.linalg, name)
 
-    monkeypatch.setattr(np.linalg, "cholesky", counted)
+        def wrapper(a, *args, **kwargs):
+            calls.append((name, a.shape))
+            return original(a, *args, **kwargs)
+
+        return wrapper
+
+    for name in ("eigh", "eigvalsh", "eig", "cholesky", "solve", "inv", "lstsq", "qr", "svd"):
+        monkeypatch.setattr(np.linalg, name, counted(name))
     rng = np.random.default_rng(2)
-    fit_gp_grid(rng.uniform(size=(40, 9)), rng.normal(size=40))
-    assert shapes == [(40, 40)]
+    X, y, Xq = rng.uniform(size=(40, 9)), rng.normal(size=40), rng.uniform(size=(64, 9))
+    gp_predict(fit_gp_grid(X, y), Xq)
+    assert calls == [("eigh", (40, 40))] * 10
+    calls.clear()
+    gp_predict(gp_fit(X, y, 0.5, 1.0, 1e-6), Xq)
+    assert calls == [("eigh", (40, 40))]
 
 
 def test_gp_grid_skips_cells_that_are_not_positive_definite(monkeypatch):
@@ -238,9 +249,29 @@ def test_gp_grid_skips_cells_that_are_not_positive_definite(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", with_smallest_eigenvalue(-1e-5))
     model = fit_gp_grid(X, y)
     assert model.sigma_n2 > 1e-5 * model.sigma_f2
-    # no cell left: the first triple, as when every Cholesky failed
+    # no cell left: the noise is never raised, so the fit fails
     monkeypatch.setattr(np.linalg, "eigh", with_smallest_eigenvalue(-1.0))
-    assert _grid_cell(fit_gp_grid(X, y)) == (0, 0, 0)
+    with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
+        fit_gp_grid(X, y)
+
+
+@pytest.mark.parametrize(
+    "fit", [fit_gp_grid, lambda X, y: gp_fit(X, y, 0.5, 1.0, 1e-6)], ids=["grid", "fixed"]
+)
+def test_gp_fits_need_one_output_per_training_input(fit):
+    with pytest.raises(ValueError, match="need one output per training input"):
+        fit(np.zeros((0, 2)), [])
+    with pytest.raises(ValueError):  # the grid's (10, m) stacks may reject the shapes first
+        fit(np.zeros((3, 2)), [1.0, 2.0])
+
+
+@pytest.mark.parametrize("name", ["lengthscale", "sigma_f2", "sigma_n2"])
+@pytest.mark.parametrize("value", [0.0, -1e-3, float("nan"), float("inf")])
+def test_gp_fit_rejects_a_hyperparameter_that_is_not_finite_and_positive(name, value):
+    X = np.array([[0.1, 0.2], [0.8, 0.7], [0.4, 0.9]])  # well separated
+    hyper = {"lengthscale": 0.5, "sigma_f2": 1.0, "sigma_n2": 1e-6, name: value}
+    with pytest.raises(ValueError, match=f"^{name} must be finite and positive"):
+        gp_fit(X, [1.0, 2.0, 0.5], **hyper)
 
 
 def test_expected_improvement_values():
@@ -361,7 +392,8 @@ def test_gp_posterior_is_unchanged_by_the_plane_sum(monkeypatch, m):
     monkeypatch.setattr(gp, "_sq_dists", ref_sq_dists)
     ref_model, ref_mean, (ref_pmean, ref_pvar) = posterior()
     assert _grid_cell(model) == _grid_cell(ref_model)
-    assert np.array_equal(model.chol_lower, ref_model.chol_lower)
+    assert np.array_equal(model.eigvecs, ref_model.eigvecs)
+    assert np.array_equal(model.eigvals, ref_model.eigvals)
     assert np.array_equal(model.alpha, ref_model.alpha)
     assert np.array_equal(mean, ref_mean)
     assert np.array_equal(pmean, ref_pmean) and np.array_equal(pvar, ref_pvar)
@@ -376,8 +408,8 @@ def test_importing_stlopt_loads_no_scipy():
 
 @pytest.mark.parametrize("m", [10, 30, 59])
 def test_gp_posterior_matches_the_scipy_cholesky_reference(m):
-    # numpy's general solve and scipy's triangular solves round differently;
-    # the gap measured at these sizes is at most 1.1e-15 of the largest
+    # the spectral form and scipy's Cholesky solves round differently; the
+    # gap measured at these sizes is at most 3.0e-15 of the largest
     # reference entry, and the tolerance is 1e-12 of it
     rng = np.random.default_rng(m)
     X, Xq = rng.uniform(size=(m, 9)), rng.uniform(size=(2112, 9))
@@ -388,7 +420,8 @@ def test_gp_posterior_matches_the_scipy_cholesky_reference(m):
     def assert_close(actual, ref):
         assert np.max(np.abs(actual - ref)) <= 1e-12 * np.max(np.abs(ref))
 
-    assert np.array_equal(model.chol_lower, L)
+    # Q diag(e) Q^T is the reference's K + sigma_n2 I = L L^T
+    assert_close((model.eigvecs * model.eigvals) @ model.eigvecs.T, L @ L.T)
     assert_close(model.alpha, alpha)
     assert_close(gp.gp_mean(model, Xq), mean)
     pmean, pvar = gp_predict(model, Xq)

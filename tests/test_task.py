@@ -271,6 +271,22 @@ def test_task_json_formula_override():
         (lambda d: d.update(home=[0.1, float("nan")]), "home: item 1: expected a finite number"),
         (lambda d: d["regions"][1].pop("box"), "regions: item 1: missing config field: box"),
         (lambda d: d.update(regions={}), "regions: expected a list"),
+        (
+            lambda d: d["bounds"].update(duration=[5, 1]),
+            r"^bounds\.duration: upper bound 1 must exceed lower bound 5$",
+        ),
+        (
+            lambda d: d["bounds"].update(duration=[2, 2]),
+            r"^bounds\.duration: upper bound 2 must exceed lower bound 2$",
+        ),
+        (
+            lambda d: d["bounds"].update(workspace=[0.8, 0.2]),
+            r"^bounds\.workspace: upper bound 0\.2 must exceed lower bound 0\.8$",
+        ),
+        (
+            lambda d: d["bounds"].update(workspace=[0.5, 0.5]),
+            r"^bounds\.workspace: upper bound 0\.5 must exceed lower bound 0\.5$",
+        ),
     ],
 )
 def test_task_json_names_the_failing_field(edit, message):
