@@ -30,16 +30,7 @@ from .formula import (
 )
 from .parser import parse_formula
 from .trace import Trace, load_trace_csv, save_trace_csv, window_indices
-from .semantics import (
-    MetricConfig,
-    RobustnessValue,
-    TimeRobustness,
-    avg_robustness,
-    evaluate,
-    satisfies,
-    space_robustness,
-    time_robustness_plus,
-)
+from .semantics import MetricConfig, RobustnessValue, evaluate, satisfies
 from .aggregators import (
     agm_and,
     agm_or,

@@ -103,23 +103,29 @@ def _standardize(y: np.ndarray) -> tuple[np.ndarray, float, float]:
     return (y - y_mean) / y_std, y_mean, y_std
 
 
+def _training_data(X, y) -> tuple[np.ndarray, np.ndarray]:
+    """X as (m, n) rows and y as m outputs, m >= 1."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    y = np.asarray(y, dtype=float).ravel()
+    if X.shape[0] != y.size or y.size < 1:
+        raise ValueError("need one output per training input")
+    return X, y
+
+
 def gp_fit(X, y, lengthscale: float, sigma_f2: float, sigma_n2: float) -> GpModel:
     """Fit with fixed hyperparameters from one eigh of the correlation matrix;
     the noise is never raised, so some e <= 0 raises np.linalg.LinAlgError."""
+    X, y = _training_data(X, y)
     hyper = {"lengthscale": lengthscale, "sigma_f2": sigma_f2, "sigma_n2": sigma_n2}
     for name, value in hyper.items():
         if not (math.isfinite(value) and value > 0.0):
             raise ValueError(f"{name} must be finite and positive, got {value!r}")
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    y = np.asarray(y, dtype=float).ravel()
     lam, Q = np.linalg.eigh(np.exp(-_sq_dists(X, X) / (2.0 * lengthscale * lengthscale)))
     return _posterior(X, y, lengthscale, sigma_f2, sigma_n2, lam, Q)
 
 
 def _posterior(X, y, lengthscale, sigma_f2, sigma_n2, lam, Q) -> GpModel:
     """The GP on (X, y) whose correlation matrix is Q diag(lam) Q^T."""
-    if X.shape[0] != y.size or y.size < 1:
-        raise ValueError("need one output per training input")
     e = sigma_f2 * lam + sigma_n2
     if not np.all(e > 0.0):
         raise np.linalg.LinAlgError("kernel matrix not positive definite")
@@ -162,8 +168,7 @@ def fit_gp_grid(X, y) -> GpModel:
     maximum in (lengthscale, sigma_f2, sigma_n2) order wins and its posterior
     reuses (lam, Q); with no finite cell, (0, 0, 0) raises LinAlgError.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    y = np.asarray(y, dtype=float).ravel()
+    X, y = _training_data(X, y)
     ys, _, _ = _standardize(y)
     d2 = _sq_dists(X, X)
     lam = np.empty((_ELL_GRID.size, ys.size))

@@ -100,15 +100,6 @@ class RobustnessValue:
     value: float
 
 
-@dataclass(frozen=True)
-class TimeRobustness:
-    """Right time robustness: value = chi * d_max, chi reported separately."""
-
-    value: float
-    chi: int
-    truncated: bool
-
-
 def _check_preconditions(f: Formula, x: Trace, t: float) -> tuple[int, float]:
     """The grid index of t and the horizon of f, once the trace covers both."""
     k0 = x.time_index(t)
@@ -209,14 +200,6 @@ def satisfies(f: Formula, x: Trace, t: float) -> bool:
     return _value(f, x, t, _BOOLEAN) > 0
 
 
-# Quantitative semantics -------------------------------------------------
-
-
-def space_robustness(f: Formula, x: Trace, t: float) -> float:
-    """Classical min/max robustness; sign certifies Boolean satisfaction."""
-    return _value(f, x, t, _SPACE)
-
-
 # Averaging semantics ------------------------------------------------------
 
 
@@ -240,46 +223,40 @@ def _avg_always(windows: np.ndarray) -> np.ndarray:
     return np.array([np.mean(w[w <= 0]) if np.any(w <= 0) else w.min() for w in windows])
 
 
+# eventualities report the mean of the satisfying part
 _AVG = _Semantics(Pred.margin, _min, _max, _avg_always, _avg_eventually, polar=False)
-
-
-def avg_robustness(f: Formula, x: Trace, t: float) -> float:
-    """Averaging semantics: eventualities report the mean of the satisfying part.
-
-    Temporal operators may wrap only Boolean combinations of predicates.
-    """
-    _validate_avg(f)
-    return _value(f, x, t, _AVG)
 
 
 # Time robustness ----------------------------------------------------------
 
 
-def time_robustness_plus(f: Formula, x: Trace, t: float) -> TimeRobustness:
-    """Largest forward shift (in seconds) over which the verdict at t persists.
+def time_robustness_plus(f: Formula, x: Trace, t: float) -> float:
+    """Largest forward shift (in seconds) over which the verdict at t persists,
+    negated when f is violated at t.
 
     The scan saturates at the last shift for which the horizon still fits in
-    the trace; saturation is reported through the truncated flag.
+    the trace.
     """
     k0, h = _check_preconditions(f, x, t)
     shifts = np.arange(1, x.n_samples - k0)
     last = int(np.count_nonzero(t + shifts * x.dt + h <= x.end_time + GRID_TOL))
     verdicts = _walk(f, x, k0, k0 + last, _BOOLEAN) > 0
     changed = np.flatnonzero(verdicts != verdicts[0])
-    truncated = changed.size == 0
-    d_max = (last if truncated else int(changed[0]) - 1) * x.dt
-    chi = 1 if verdicts[0] else -1
-    return TimeRobustness(chi * d_max, chi, truncated)
+    d_max = (last if changed.size == 0 else int(changed[0]) - 1) * x.dt
+    return d_max if verdicts[0] else -d_max
 
 
 # Dispatch -----------------------------------------------------------------
 
 
 def _semantics(cfg: MetricConfig, f: Formula) -> _Semantics:
-    """The walker hooks of the space, lse, smooth, new or agm semantics."""
+    """The walker hooks of every semantics but time, once f is checked for it."""
     k, nu = cfg.k, cfg.nu
-    if cfg.kind == "space":
+    if cfg.kind == "space":  # classical min/max; sign certifies Boolean satisfaction
         return _SPACE
+    if cfg.kind == "avg":  # temporal operators wrap only Boolean combinations
+        _validate_avg(f)
+        return _AVG
     if cfg.kind == "lse":  # log-sum-exp smoothing of space; smooth but not sound
         return _Semantics(
             Pred.margin, lambda v: agg.softmin_lse(v, k), lambda v: agg.softmax_lse(v, k)
@@ -304,9 +281,7 @@ def _semantics(cfg: MetricConfig, f: Formula) -> _Semantics:
 def evaluate(cfg: MetricConfig, f: Formula, x: Trace, t: float) -> RobustnessValue:
     """Evaluate f on x at time t under the configured semantics."""
     if cfg.kind == "time":
-        value = time_robustness_plus(f, x, t).value
-    elif cfg.kind == "avg":
-        value = avg_robustness(f, x, t)
+        value = time_robustness_plus(f, x, t)
     else:
         value = _value(f, x, t, _semantics(cfg, f))
     if not math.isfinite(value):

@@ -54,7 +54,6 @@ class TaskSpec:
     regions: tuple[Region, ...]
     home: tuple[float, float]
     sample_rate: float
-    duration_range: tuple[float, float]
     # folds of the formula, computed once instead of per evaluation
     formula_horizon: float = field(init=False, repr=False)
     min_coverage: float = field(init=False, repr=False)
@@ -82,6 +81,11 @@ class TaskSpec:
         object.__setattr__(self, "min_coverage", _min_coverage(self.formula))
         if self.formula_horizon > 3 * self.duration_range[1] + GRID_TOL:
             raise ValueError("formula horizon exceeds the longest possible trajectory")
+
+    @property
+    def duration_range(self) -> tuple[float, float]:
+        """The (lower, upper) bound of every segment duration."""
+        return float(self.bounds.lower[0]), float(self.bounds.upper[0])
 
 
 def build_trajectory(p, sample_rate: float, home) -> Trace:
@@ -153,7 +157,6 @@ def benchmark_eq2() -> TaskSpec:
         regions=DEFAULT_REGIONS,
         home=DEFAULT_HOME,
         sample_rate=DEFAULT_SAMPLE_RATE,
-        duration_range=DEFAULT_DURATION_RANGE,
     )
 
 
@@ -246,7 +249,7 @@ def _interval(value) -> list[float]:
 
 def task_from_json(data: dict) -> TaskSpec:
     regions = tuple(json_field(data, "regions", list_of(_region_from_json)))
-    duration_range = tuple(json_field(data, "bounds.duration", _interval))
+    duration_range = json_field(data, "bounds.duration", _interval)
     workspace = json_field(data, "bounds.workspace", _interval, [WORKSPACE_LO, WORKSPACE_HI])
     formula_text = json_field(data, "formula", optional_text, None)
     if formula_text:
@@ -262,7 +265,6 @@ def task_from_json(data: dict) -> TaskSpec:
         regions=regions,
         home=tuple(json_field(data, "home", list_of(number, 2))),
         sample_rate=json_field(data, "sample_rate", number),
-        duration_range=duration_range,
     )
 
 

@@ -123,6 +123,11 @@ def load_trace_csv(path: str) -> Trace:
         names = [c.strip() for c in header.split(",")]
         if not names or names[0] != "time" or len(names) < 2:
             raise TraceError(f"{path}: header must be 'time,<ch1>,...', got {header!r}")
+        for i, name in enumerate(names[1:], 1):
+            if not name:
+                raise TraceError(f"{path}: header column {i + 1} has no channel name")
+            if name in names[1:i]:
+                raise TraceError(f"{path}: duplicate channel {name!r} in header")
         try:
             with warnings.catch_warnings():
                 # loadtxt warns on an empty body; it is reported below instead

@@ -19,8 +19,8 @@ from stlopt import (
     MetricConfig,
     Pred,
     agm_and,
-    avg_robustness,
     benchmark_eq2,
+    evaluate,
     expected_improvement,
     format_formula,
     gp_fit,
@@ -32,7 +32,6 @@ from stlopt import (
     smooth_min,
     softmax_lse,
     softmin_lse,
-    space_robustness,
 )
 from stlopt.exceptions import AvgSemanticsError
 from stlopt.harness import ExperimentConfig, run_experiment
@@ -147,7 +146,8 @@ def test_criterion_04_space_matches_bruteforce():
     worst = 0.0
     for _ in range(300):
         f, tr = random_instance(rng)
-        worst = max(worst, abs(space_robustness(f, tr, 0.0) - brute_space(f, tr, 0.0)))
+        space = evaluate(MetricConfig("space"), f, tr, 0.0).value
+        worst = max(worst, abs(space - brute_space(f, tr, 0.0)))
     report(4, worst <= 1e-12, f"max |space - brute force| = {worst:.2e} over 300 pairs")
 
 
@@ -247,7 +247,7 @@ def test_criterion_09_avg_guard():
     nested = parse_formula("F[0,1](G[0,1](x > 0))")
     tr = make_trace(np.ones(10))
     try:
-        avg_robustness(nested, tr, 0.0)
+        evaluate(MetricConfig("avg"), nested, tr, 0.0)
         guarded = False
     except AvgSemanticsError:
         guarded = True

@@ -77,6 +77,16 @@ def test_eval_trace_without_rows_exit_2(tmp_path):
     assert err == f"stlopt: {p}: no data rows\n"
 
 
+def test_eval_trace_with_a_duplicate_channel_exit_2(tmp_path):
+    # the first x column used to be scored: value 1.0, exit 0
+    p = tmp_path / "dup.csv"
+    p.write_text("time,x,x\n0.0,1.0,-5.0\n")
+    code, out, err = run_cli("eval", "--formula", "x > 0", "--trace", str(p),
+                             "--metric", "space", "--time", "0")
+    assert (code, out) == (2, "")
+    assert err == f"stlopt: {p}: duplicate channel 'x' in header\n"
+
+
 @pytest.mark.parametrize("time", ["inf", "-inf", "nan"])
 def test_eval_non_finite_time_exit_2(trace_csv, capsys, time):
     # inf once ended in an OverflowError traceback, NaN in exit 1

@@ -13,18 +13,16 @@ from stlopt import (
     Not,
     UnalignedTimeError,
     UnknownChannelError,
-    avg_robustness,
     evaluate,
     parse_formula,
     satisfies,
-    space_robustness,
-    time_robustness_plus,
+    semantics,
 )
 from stlopt.properties import random_instance
 from stlopt.semantics import METRIC_KINDS
 
 from conftest import make_trace
-from oracle import brute_sat, brute_space
+from oracle import brute_sat, brute_space, ref_robustness
 
 
 def rho(kind, f, x, **hyper):
@@ -52,24 +50,22 @@ def test_satisfies_preconditions():
 
 
 def test_space_examples():
-    assert space_robustness(parse_formula("x > 0.4"), make_trace([0.5]), 0.0) == pytest.approx(0.1)
-    assert space_robustness(parse_formula("!(x > 0.4)"), make_trace([0.5]), 0.0) == pytest.approx(-0.1)
+    assert rho("space", parse_formula("x > 0.4"), make_trace([0.5])) == pytest.approx(0.1)
+    assert rho("space", parse_formula("!(x > 0.4)"), make_trace([0.5])) == pytest.approx(-0.1)
     tr = make_trace([0.5, 0.45, 0.6])
-    assert space_robustness(parse_formula("G[0,2](x > 0.4)"), tr, 0.0) == pytest.approx(0.05)
-    assert space_robustness(parse_formula("F[0,2](x > 0.4)"), tr, 0.0) == pytest.approx(0.2)
+    assert rho("space", parse_formula("G[0,2](x > 0.4)"), tr) == pytest.approx(0.05)
+    assert rho("space", parse_formula("F[0,2](x > 0.4)"), tr) == pytest.approx(0.2)
 
 
 def test_space_until_example():
     tr = make_trace(np.array([[1, -1], [1, -1], [1, 1]], float), channels=("x", "y"))
-    assert space_robustness(parse_formula("(x > 0 U[0,2] y > 0)"), tr, 0.0) == pytest.approx(1.0)
+    assert rho("space", parse_formula("(x > 0 U[0,2] y > 0)"), tr) == pytest.approx(1.0)
 
 
 def test_lse_examples():
     tr1 = make_trace([0.5])
     f = parse_formula("x > 0.4")
-    assert rho("lse", f, tr1, k=10.0) == pytest.approx(
-        space_robustness(f, tr1, 0.0)
-    )
+    assert rho("lse", f, tr1, k=10.0) == pytest.approx(rho("space", f, tr1))
     tr = make_trace([0.5, 0.45, 0.6])
     g = parse_formula("G[0,2](x > 0.4)")
     assert abs(rho("lse", g, tr, k=100.0) - 0.05) <= math.log(3) / 100
@@ -86,13 +82,13 @@ def test_smooth_examples():
     conj = parse_formula("x > 0 & y > 0")
     v = rho("smooth", conj, ones, k=1.0)
     assert v == pytest.approx(1 - math.log(2))
-    assert 0 < v <= space_robustness(conj, ones, 0.0)
+    assert 0 < v <= rho("space", conj, ones)
 
 
 def test_smooth_never_exceeds_space_even_with_negation(rng):
     for _ in range(300):
         f, tr = random_instance(rng)
-        assert rho("smooth", f, tr, k=10.0) <= space_robustness(f, tr, 0.0) + 1e-9
+        assert rho("smooth", f, tr, k=10.0) <= rho("space", f, tr) + 1e-9
 
 
 def test_agm_examples():
@@ -116,34 +112,35 @@ def test_agm_clamps_margins():
 
 def test_avg_examples():
     f = parse_formula("F[0,2](x > 0)")
-    assert avg_robustness(f, make_trace([-1, 0.5, 1.0]), 0.0) == pytest.approx(0.75)
-    assert avg_robustness(parse_formula("F[0,1](x > 0)"), make_trace([-1, -2]), 0.0) == pytest.approx(-1.0)
-    assert avg_robustness(parse_formula("G[0,1](x > 0)"), make_trace([0.5, 1.0]), 0.0) == pytest.approx(0.5)
+    assert rho("avg", f, make_trace([-1, 0.5, 1.0])) == pytest.approx(0.75)
+    assert rho("avg", parse_formula("F[0,1](x > 0)"), make_trace([-1, -2])) == pytest.approx(-1.0)
+    assert rho("avg", parse_formula("G[0,1](x > 0)"), make_trace([0.5, 1.0])) == pytest.approx(0.5)
 
 
 def test_avg_rejects_nesting_and_until():
     tr = make_trace(np.ones(10))
     with pytest.raises(AvgSemanticsError, match="nested temporal"):
-        avg_robustness(parse_formula("F[0,1](G[0,1](x > 0))"), tr, 0.0)
+        rho("avg", parse_formula("F[0,1](G[0,1](x > 0))"), tr)
     with pytest.raises(AvgSemanticsError, match="until unsupported"):
-        avg_robustness(parse_formula("(x > 0 U[0,1] x > 0)"), tr, 0.0)
+        rho("avg", parse_formula("(x > 0 U[0,1] x > 0)"), tr)
     # negation above a temporal operator stays legal
-    assert avg_robustness(parse_formula("!(F[0,1](x > 0))"), tr, 0.0) == pytest.approx(-1.0)
+    assert rho("avg", parse_formula("!(F[0,1](x > 0))"), tr) == pytest.approx(-1.0)
 
 
 def test_time_robustness_examples():
-    # constant true across every probeable shift: saturates, flag set
+    # the value's sign (of -0.0 too) is the verdict at t
+    # constant true across every probeable shift: saturates at the last one
     tr = make_trace(np.ones(6))
-    r = time_robustness_plus(parse_formula("x > 0"), tr, 0.0)
-    assert (r.value, r.chi, r.truncated) == (5.0, 1, True)
+    r = rho("time", parse_formula("x > 0"), tr)
+    assert (r, math.copysign(1, r)) == (5.0, 1)
 
     flip = make_trace([-1.0, 1.0, 1.0])
-    r2 = time_robustness_plus(parse_formula("x > 0"), flip, 0.0)
-    assert (r2.value, r2.chi, r2.truncated) == (0.0, -1, False)
+    r2 = rho("time", parse_formula("x > 0"), flip)
+    assert (r2, math.copysign(1, r2)) == (0.0, -1)
 
     pat = make_trace([1.0, 1.0, -1.0, 1.0], dt=0.5)
-    r3 = time_robustness_plus(parse_formula("x > 0"), pat, 0.0)
-    assert (r3.value, r3.chi, r3.truncated) == (0.5, 1, False)
+    r3 = rho("time", parse_formula("x > 0"), pat)
+    assert (r3, math.copysign(1, r3)) == (0.5, 1)
 
 
 def test_evaluate_dispatch():
@@ -155,8 +152,28 @@ def test_evaluate_dispatch():
 def test_evaluate_matches_direct_functions():
     tr = make_trace([0.5, -0.2, 0.8, 0.1], dt=0.5)
     f = parse_formula("F[0,1](x > 0)")
-    assert evaluate(MetricConfig("avg"), f, tr, 0.0).value == avg_robustness(f, tr, 0.0)
-    assert evaluate(MetricConfig("time"), f, tr, 0.0).value == time_robustness_plus(f, tr, 0.0).value
+    assert evaluate(MetricConfig("avg"), f, tr, 0.0).value == ref_robustness("avg", f, tr, 0.0)
+    time = semantics.time_robustness_plus(f, tr, 0.0)
+    assert evaluate(MetricConfig("time"), f, tr, 0.0).value == time
+
+
+def test_evaluate_is_the_one_quantitative_entry_point(monkeypatch):
+    import stlopt
+
+    wrappers = ("space_robustness", "avg_robustness", "TimeRobustness")
+    assert not [name for name in wrappers if hasattr(semantics, name)]
+    exported = wrappers + ("time_robustness_plus",)
+    assert not [name for name in exported if hasattr(stlopt, name)]
+    # evaluate reaches the time scan through the module global, so a wrapper
+    # patched in by name sees every call
+    calls = []
+    scan = semantics.time_robustness_plus
+    monkeypatch.setattr(
+        semantics, "time_robustness_plus", lambda *a: calls.append(a) or scan(*a)
+    )
+    f, tr = parse_formula("x > 0"), make_trace([1.0, 1.0, -1.0])
+    assert evaluate(MetricConfig("time"), f, tr, 0.0).value == 1.0
+    assert calls == [(f, tr, 0.0)] and type(scan(f, tr, 0.0)) is float
 
 
 def test_evaluate_avg_nested_error():
@@ -238,7 +255,7 @@ def test_de_morgan_boolean(rng):
 def test_space_matches_bruteforce_oracle(rng):
     for _ in range(300):
         f, tr = random_instance(rng)
-        assert space_robustness(f, tr, 0.0) == pytest.approx(
+        assert rho("space", f, tr) == pytest.approx(
             brute_space(f, tr, 0.0), abs=1e-12
         )
         assert satisfies(f, tr, 0.0) == brute_sat(f, tr, 0.0)
@@ -247,7 +264,7 @@ def test_space_matches_bruteforce_oracle(rng):
 def test_new_sign_matches_space(rng):
     for _ in range(300):
         f, tr = random_instance(rng)
-        s = space_robustness(f, tr, 0.0)
+        s = rho("space", f, tr)
         n = rho("new", f, tr, nu=2.0)
         if abs(s) > 1e-9 and abs(n) > 1e-9:
             assert np.sign(s) == np.sign(n)

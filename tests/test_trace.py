@@ -142,6 +142,25 @@ def test_csv_rejects_bad_header(tmp_path):
         load_trace_csv(str(p))
 
 
+@pytest.mark.parametrize(
+    "header,error",
+    [
+        ("time,x,x", "duplicate channel 'x' in header"),
+        ("time,x,y,x", "duplicate channel 'x' in header"),
+        ("time, y ,y", "duplicate channel 'y' in header"),
+        ("time,x,", "header column 3 has no channel name"),
+        ("time,,x", "header column 2 has no channel name"),
+    ],
+)
+def test_csv_rejects_a_duplicate_or_empty_channel_name(tmp_path, header, error):
+    # a repeated name would score only its first column
+    p = tmp_path / "dup.csv"
+    width = header.count(",")
+    p.write_text(header + "\n" + "0.0" + ",1.0" * width + "\n")
+    with pytest.raises(TraceError, match=rf"dup\.csv: {error}$"):
+        load_trace_csv(str(p))
+
+
 @pytest.mark.parametrize("body", ["", "\n\n"])
 def test_csv_without_data_rows(tmp_path, body):
     p = tmp_path / "empty.csv"

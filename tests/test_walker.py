@@ -1,10 +1,12 @@
 """The range walker against the per-sample reference in oracle.py.
 
 Every semantics must give exactly (==) the value of the recursion it
-replaced: Boolean, space, time (value, chi, truncated), avg, lse, smooth,
-agm and new, on random formulas, on eq2 evaluation traces and on long
-traces with wide nested windows.
+replaced: Boolean, space, time (value and the sign of a zero), avg, lse,
+smooth, agm and new, on random formulas, on eq2 evaluation traces and on
+long traces with wide nested windows.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -13,15 +15,12 @@ from numpy.lib.stride_tricks import sliding_window_view
 from stlopt import (
     MetricConfig,
     Trace,
-    avg_robustness,
     benchmark_eq2,
     evaluate,
     horizon,
     parse_formula,
     satisfies,
     semantics,
-    space_robustness,
-    time_robustness_plus,
 )
 from stlopt.properties import random_instance
 from stlopt.task import _min_coverage, evaluation_trace
@@ -33,17 +32,17 @@ K, NU = 10.0, 2.0
 
 def assert_matches_reference(f, x, t, scales, avg_ok):
     assert satisfies(f, x, t) == ref_satisfies(f, x, t)
-    r = time_robustness_plus(f, x, t)
-    assert (r.value, r.chi, r.truncated) == ref_time(f, x, t)
+    r = evaluate(MetricConfig("time"), f, x, t).value
+    assert (r, math.copysign(1, r)) == ref_time(f, x, t)[:2]
     got = {
-        "space": space_robustness(f, x, t),
+        "space": evaluate(MetricConfig("space"), f, x, t).value,
         "lse": evaluate(MetricConfig("lse", k=K), f, x, t).value,
         "smooth": evaluate(MetricConfig("smooth", k=K), f, x, t).value,
         "agm": evaluate(MetricConfig("agm", agm_scales=scales), f, x, t).value,
         "new": evaluate(MetricConfig("new", nu=NU), f, x, t).value,
     }
     if avg_ok:
-        got["avg"] = avg_robustness(f, x, t)
+        got["avg"] = evaluate(MetricConfig("avg"), f, x, t).value
     for kind, value in got.items():
         assert value == ref_robustness(kind, f, x, t, K, NU, scales), kind
 
@@ -127,7 +126,8 @@ def test_until_takes_one_view_of_each_operand(monkeypatch):
         return windows(values, width)
 
     monkeypatch.setattr(semantics, "_windows", counting_view)
-    space_robustness(parse_formula("(y > -0.6 U[0.5,1.5] x > 0.3)"), long_trace(), 0.0)
+    f = parse_formula("(y > -0.6 U[0.5,1.5] x > 0.3)")
+    evaluate(MetricConfig("space"), f, long_trace(), 0.0)
     # the left operand's prefixes (up to 151 samples), the right operand's
     # 101 offsets
     assert sorted(widths) == [101, 151]
