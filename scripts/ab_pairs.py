@@ -94,6 +94,13 @@ def main(argv=None) -> int:
     spec = json.loads((args.parent / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"]
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    # checked before the first run, so a typo cannot cost a whole series
+    if args.claim:
+        claimed, _, metric = args.claim.partition(":")
+        if claimed not in args.workload or metric not in better:
+            ap.error(f"--claim {args.claim!r} must be WORKLOAD:METRIC with WORKLOAD one of "
+                     f"{args.workload} and METRIC one of {sorted(better)}")
+    args.out.mkdir(parents=True, exist_ok=True)
     report = {
         "label": args.label,
         "change": args.change_text,
@@ -134,7 +141,7 @@ def main(argv=None) -> int:
                          for r in runs]
         workloads[workload] = entry
     if args.claim:
-        workload, metric = args.claim.split(":")
+        workload, _, metric = args.claim.partition(":")
         s = workloads[workload][metric]
         report["claim"] = {
             "workload": workload,

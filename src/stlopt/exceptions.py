@@ -29,7 +29,7 @@ class EvaluationError(StlError):
 
 
 class InsufficientHorizonError(EvaluationError):
-    """Trace is too short to cover the formula horizon at the requested time."""
+    """Trace lacks a sample that the formula reads at the requested time."""
 
 
 class UnknownChannelError(EvaluationError):

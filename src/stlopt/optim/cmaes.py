@@ -20,9 +20,7 @@ _EIG_FLOOR = 1e-12
 
 
 class CmaEs:
-    def __init__(self, bounds: Bounds, sigma0: float = 0.3, seed: int = 0):
-        if sigma0 <= 0:
-            raise ValueError("sigma0 must be positive")
+    def __init__(self, bounds: Bounds, seed: int = 0):
         n = bounds.n
         self.bounds = bounds
         self.lam = 4 + int(3 * math.log(n))
@@ -44,7 +42,7 @@ class CmaEs:
         # dynamic state, all in unit-box coordinates
         self.n = n
         self.mean = np.full(n, 0.5)
-        self.sigma = float(sigma0)
+        self.sigma = 0.3  # initial step size, in unit-box coordinates
         self.cov = np.eye(n)
         self.p_sigma = np.zeros(n)
         self.p_c = np.zeros(n)

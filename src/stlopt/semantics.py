@@ -17,6 +17,14 @@ A semantics is a predicate map plus a conjunction/disjunction pair that
 reduces the last axis of an array; the Boolean oracle is the same walk over
 +-1 predicate values with min/max.
 
+The walk is also the only check that the trace is long enough.  Each
+temporal node asks window_indices for the window at the last index of its
+range, which raises InsufficientHorizonError when that window runs past
+the trace end, and every sample a predicate reads is t itself (checked by
+Trace.time_index) or lies in a window an ancestor has checked.  So a trace
+is accepted exactly when it holds every sample the formula reads at t; with
+intervals off the sample grid that can end before t + horizon(f).
+
 Negation is threaded through as a polarity flag: predicates negate their
 margin and the aggregator roles swap.  For min/max, LSE, AGM and the
 scale-invariant weighted-average aggregators this is identical to the
@@ -39,12 +47,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from . import aggregators as agg
-from .exceptions import (
-    AvgSemanticsError,
-    EvaluationError,
-    InsufficientHorizonError,
-    MissingAgmScaleError,
-)
+from .exceptions import AvgSemanticsError, EvaluationError, MissingAgmScaleError
 from .formula import (
     And,
     Eventually,
@@ -98,18 +101,6 @@ def _check_positive_finite(what: str, value) -> None:
 @dataclass(frozen=True)
 class RobustnessValue:
     value: float
-
-
-def _check_preconditions(f: Formula, x: Trace, t: float) -> tuple[int, float]:
-    """The grid index of t and the horizon of f, once the trace covers both."""
-    k0 = x.time_index(t)
-    h = horizon(f)
-    if t + h > x.end_time + GRID_TOL:
-        raise InsufficientHorizonError(
-            f"insufficient horizon: need samples to {t + h} s "
-            f"but trace ends at {x.end_time} s"
-        )
-    return k0, h
 
 
 # The walker -----------------------------------------------------------------
@@ -182,7 +173,7 @@ def _walk(f: Formula, x: Trace, lo: int, hi: int, sem: _Semantics, positive=True
 
 
 def _value(f: Formula, x: Trace, t: float, sem: _Semantics) -> float:
-    k0, _ = _check_preconditions(f, x, t)
+    k0 = x.time_index(t)
     return float(_walk(f, x, k0, k0, sem)[0])
 
 
@@ -237,7 +228,7 @@ def time_robustness_plus(f: Formula, x: Trace, t: float) -> float:
     The scan saturates at the last shift for which the horizon still fits in
     the trace.
     """
-    k0, h = _check_preconditions(f, x, t)
+    k0, h = x.time_index(t), horizon(f)
     shifts = np.arange(1, x.n_samples - k0)
     last = int(np.count_nonzero(t + shifts * x.dt + h <= x.end_time + GRID_TOL))
     verdicts = _walk(f, x, k0, k0 + last, _BOOLEAN) > 0

@@ -22,7 +22,11 @@ GRID_TOL = 1e-9  # absolute tolerance (seconds) when matching times to the grid
 
 @dataclass(frozen=True, eq=False)
 class Trace:
-    """Signal sampled at t0 + k*dt; one row per step, one column per channel."""
+    """Signal sampled at t0 + k*dt; one row per step, one column per channel.
+
+    The channels are the header of the trace's CSV form 'time,<ch1>,...',
+    so each needs a name of its own: column() reads the first match.
+    """
 
     channels: tuple[str, ...]
     t0: float
@@ -43,6 +47,11 @@ class Trace:
             raise ValueError(
                 f"{samples.shape[1]} columns for {len(self.channels)} channels"
             )
+        for i, name in enumerate(self.channels):
+            if not name:
+                raise ValueError(f"header column {i + 2} has no channel name")
+            if name in self.channels[:i]:
+                raise ValueError(f"duplicate channel {name!r} in header")
         if not np.all(np.isfinite(samples)):
             raise ValueError("samples must be finite (no NaN or infinity)")
         samples.setflags(write=False)
@@ -77,16 +86,19 @@ class Trace:
         the trace."""
         if not math.isfinite(t):
             raise UnalignedTimeError(f"time {t} is not finite")
-        k = round((t - self.t0) / self.dt)
+        # the range check comes before round(), which overflows on a quotient
+        # of inf (t = 1e308, say); every s in it rounds to 0 .. n_samples - 1
+        s = (t - self.t0) / self.dt
+        if not -0.5 <= s < self.n_samples - 0.5:
+            raise UnalignedTimeError(
+                f"time {t} outside the sampled range [{self.t0}, {self.end_time}]"
+            )
+        k = round(s)
         if abs(t - (self.t0 + k * self.dt)) > GRID_TOL:
             raise UnalignedTimeError(
                 f"unaligned time {t}: not within {GRID_TOL} s of the sample grid"
             )
-        if k < 0 or k >= self.n_samples:
-            raise UnalignedTimeError(
-                f"time {t} outside the sampled range [{self.t0}, {self.end_time}]"
-            )
-        return int(k)
+        return k
 
 
 def window_indices(x: Trace, t: float, interval: Interval) -> np.ndarray:
@@ -95,21 +107,22 @@ def window_indices(x: Trace, t: float, interval: Interval) -> np.ndarray:
     Raises EmptyWindowError when the grid skips the whole window and
     InsufficientHorizonError when the window reaches past the trace end.
     """
-    lo = t + interval.a - GRID_TOL
-    hi = t + interval.b + GRID_TOL
-    k_lo = max(0, math.ceil((lo - x.t0) / x.dt))
-    k_hi = math.floor((hi - x.t0) / x.dt)
-    if k_hi >= x.n_samples:
+    # compared as quotients before ceil/floor, which overflow on inf: for an
+    # integer k, floor(s) >= k exactly when s >= k
+    s_lo = (t + interval.a - GRID_TOL - x.t0) / x.dt
+    s_hi = (t + interval.b + GRID_TOL - x.t0) / x.dt
+    if s_hi >= x.n_samples:
         raise InsufficientHorizonError(
             f"insufficient horizon: window [{t + interval.a}, {t + interval.b}] "
             f"extends past the last sample at {x.end_time}"
         )
-    if k_lo > k_hi:
+    k_lo = math.ceil(max(s_lo, 0.0))
+    if s_hi < k_lo:
         raise EmptyWindowError(
             f"empty window: no sample in [{t + interval.a}, {t + interval.b}] "
             f"with dt={x.dt} (sampling-rate/spec mismatch)"
         )
-    return np.arange(k_lo, k_hi + 1)
+    return np.arange(k_lo, math.floor(s_hi) + 1)
 
 
 def load_trace_csv(path: str) -> Trace:
@@ -123,11 +136,6 @@ def load_trace_csv(path: str) -> Trace:
         names = [c.strip() for c in header.split(",")]
         if not names or names[0] != "time" or len(names) < 2:
             raise TraceError(f"{path}: header must be 'time,<ch1>,...', got {header!r}")
-        for i, name in enumerate(names[1:], 1):
-            if not name:
-                raise TraceError(f"{path}: header column {i + 1} has no channel name")
-            if name in names[1:i]:
-                raise TraceError(f"{path}: duplicate channel {name!r} in header")
         try:
             with warnings.catch_warnings():
                 # loadtxt warns on an empty body; it is reported below instead
@@ -154,7 +162,10 @@ def load_trace_csv(path: str) -> Trace:
             raise TraceError(
                 f"{path}: non-uniform sampling (relative tolerance 1e-6 exceeded)"
             )
-    return Trace(tuple(names[1:]), float(times[0]), dt, data[:, 1:])
+    try:
+        return Trace(tuple(names[1:]), float(times[0]), dt, data[:, 1:])
+    except ValueError as exc:  # a channel name that is empty or repeated
+        raise TraceError(f"{path}: {exc}") from None
 
 
 def save_trace_csv(trace: Trace, path: str) -> None:

@@ -1,10 +1,12 @@
 """The summary arithmetic of scripts/ab_pairs.py on synthetic numbers.
 
-Nothing here runs the benchmark: only the quartiles, the pair count, the
-relative change and the claim rule are checked.
+Nothing here runs the benchmark: the quartiles, the pair count, the
+relative change and the claim rule are checked, and the command line with a
+stub in place of each benchmark run.
 """
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -74,3 +76,43 @@ def test_summary_rejects_unpaired_runs():
         ab_pairs.summarize([1.0, 2.0], [1.0], "lower")
     with pytest.raises(ValueError):
         ab_pairs.summarize([], [], "lower")
+
+
+@pytest.fixture
+def counted_runs(monkeypatch):
+    """Replaces run_once by a stub that records each call."""
+    calls = []
+
+    def run_once(tree, workload, seed, seconds):
+        calls.append((tree, workload, seed))
+        return {"correct": True, "values": {"wall_s": 1.0, "evals_per_s": 10.0}}
+
+    monkeypatch.setattr(ab_pairs, "run_once", run_once)
+    return calls
+
+
+def trees(tmp_path):
+    spec = (_PATH.parent.parent / "BENCHMARK.json").read_text()
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "BENCHMARK.json").write_text(spec)
+    return [str(tmp_path / "parent"), str(tmp_path / "change"), "--label", "t",
+            "--first-seed", "1", "--pairs", "1", "--workload", "eq2-sweep"]
+
+
+@pytest.mark.parametrize("claim", ["eq2-sweep", "eq2-sweep:", "eq2-sweep:wall",
+                                   "monitor-long:wall_s", "eq2-sweep:wall_s:x"])
+def test_a_bad_claim_stops_before_the_first_run(tmp_path, counted_runs, capsys, claim):
+    with pytest.raises(SystemExit):
+        ab_pairs.main(trees(tmp_path) + ["--claim", claim, "--out", str(tmp_path)])
+    assert counted_runs == []
+    assert "--claim" in capsys.readouterr().err
+
+
+def test_out_is_created_before_the_first_run(tmp_path, counted_runs):
+    out = tmp_path / "new" / "dir"
+    args = trees(tmp_path) + ["--claim", "eq2-sweep:wall_s", "--out", str(out)]
+    assert ab_pairs.main(args) == 0
+    assert len(counted_runs) == 2
+    claim = json.loads((out / "BENCH_t.json").read_text())["claim"]
+    assert (claim["workload"], claim["metric"], claim["met"]) == ("eq2-sweep", "wall_s", False)

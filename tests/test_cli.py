@@ -96,6 +96,25 @@ def test_eval_non_finite_time_exit_2(trace_csv, capsys, time):
     assert err == f"stlopt: time {float(time)} is not finite\n"
 
 
+@pytest.mark.parametrize(
+    "formula,time,error",
+    [
+        ("x > 0", "1e308", "time 1e+308 outside the sampled range [0.0, 3.5]"),
+        ("G[0,1e308](x > 0)", "0", "insufficient horizon: window [0.0, 1e+308] "
+         "extends past the last sample at 3.5"),
+        ("F[0,1e999](x > 0)", "0", "insufficient horizon: window [0.0, inf] "
+         "extends past the last sample at 3.5"),
+    ],
+)
+@pytest.mark.parametrize("metric", ["space", "time"])
+def test_eval_time_or_window_past_the_grid_exit_2(trace_csv, capsys, formula, time, error, metric):
+    # each of these once overflowed in round, ceil or floor; the time ended
+    # in exit 1 with "cannot convert float infinity to integer"
+    assert main(["eval", "--formula", formula, "--trace", trace_csv,
+                 "--metric", metric, "--time", time]) == 2
+    assert capsys.readouterr() == ("", f"stlopt: {error}\n")
+
+
 def test_usage_error_exit_1():
     code, _, err = run_cli("eval", "--formula", "x > 0")
     assert code == 1

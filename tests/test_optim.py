@@ -46,11 +46,6 @@ def test_cmaes_default_popsize():
     assert CmaEs(unit_box(1)).lam == 4
 
 
-def test_cmaes_sigma0_must_be_positive():
-    with pytest.raises(ValueError, match="sigma0"):
-        CmaEs(unit_box(3), sigma0=0.0)
-
-
 def test_cmaes_ask_count_and_feasibility():
     b = Bounds(np.array([-2.0, 0.0, 5.0]), np.array([2.0, 1.0, 6.0]))
     es = CmaEs(b, seed=3)
@@ -62,7 +57,8 @@ def test_cmaes_ask_count_and_feasibility():
 
 def test_cmaes_clamps_after_resampling_limit():
     # a step size far wider than the box forces the clamp fallback
-    es = CmaEs(unit_box(4), sigma0=100.0, seed=0)
+    es = CmaEs(unit_box(4), seed=0)
+    es.sigma = 100.0
     for p in es.ask():
         assert es.bounds.contains(p)
 

@@ -188,6 +188,7 @@ def test_short_durations_penalty():
 
 
 def test_objective_reads_the_folds_computed_with_the_task(monkeypatch):
+    import stlopt.semantics as semantics
     import stlopt.task as task
 
     spec = benchmark_eq2()
@@ -199,6 +200,7 @@ def test_objective_reads_the_folds_computed_with_the_task(monkeypatch):
 
     monkeypatch.setattr(task, "horizon", refuse)
     monkeypatch.setattr(task, "_min_coverage", refuse)
+    monkeypatch.setattr(semantics, "horizon", refuse)
     cfg = MetricConfig("space")
     assert objective_detail(spec, cfg, centers_vector(spec))[1]
     assert objective_detail(spec, cfg, centers_vector(spec, (1.0, 1.0, 1.0)))[0] == -13.0

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -30,6 +31,21 @@ def test_construction_invariants():
         Trace(("x",), 0.0, 1.0, np.zeros((0, 1)))
     with pytest.raises(ValueError, match="columns"):
         Trace(("x", "y"), 0.0, 1.0, np.zeros((3, 1)))
+
+
+@pytest.mark.parametrize(
+    "channels,error",
+    [
+        (("x", "x"), "duplicate channel 'x' in header"),
+        (("x", "y", "x"), "duplicate channel 'x' in header"),
+        (("",), "header column 2 has no channel name"),
+        (("x", ""), "header column 3 has no channel name"),
+    ],
+)
+def test_construction_rejects_a_duplicate_or_empty_channel_name(channels, error):
+    # ("x", "x") once scored x > 0 from the first column only
+    with pytest.raises(ValueError, match=f"^{error}$"):
+        Trace(channels, 0.0, 1.0, np.ones((2, len(channels))))
 
 
 def test_construction_leaves_the_callers_array_writable():
@@ -68,6 +84,12 @@ def test_time_index_alignment():
         tr.time_index(0.25)
     with pytest.raises(UnalignedTimeError, match="outside"):
         tr.time_index(7.0)
+    # at t = ±1e308, (t - t0) / dt overflows to inf, which round() once
+    # turned into an OverflowError (exit 1 from the CLI)
+    for t in (1e308, -1e308, 1e6, -0.5, 1.5):
+        with pytest.raises(UnalignedTimeError, match=r"outside the sampled range \[0\.0, 1\.0\]"):
+            tr.time_index(t)
+    assert tr.time_index(1.0 + 5e-10) == 2 and tr.time_index(-5e-10) == 0
 
 
 @pytest.mark.parametrize("t", [np.inf, -np.inf, np.nan])
@@ -96,6 +118,7 @@ def test_window_indices_examples():
 
     tr2 = make_trace(np.zeros(8), dt=0.5)
     assert window_indices(tr2, 1.0, Interval(1, 2)).tolist() == [4, 5, 6]
+    assert window_indices(tr2, -1e308, Interval(0, 1e308)).tolist() == [0]
 
 
 def test_window_empty_when_grid_skips():
@@ -108,6 +131,23 @@ def test_window_past_trace_end():
     tr = make_trace(np.zeros(3), dt=1.0)
     with pytest.raises(InsufficientHorizonError):
         window_indices(tr, 0.0, Interval(2, 5))
+
+
+@pytest.mark.parametrize(
+    "t,interval,error",
+    [
+        (0.0, Interval(0, 1e308), InsufficientHorizonError),
+        (0.0, Interval(0, math.inf), InsufficientHorizonError),
+        (0.0, Interval(1e308, math.inf), InsufficientHorizonError),
+        (1e308, Interval(0, 1), InsufficientHorizonError),
+        (-1e308, Interval(0, 1), EmptyWindowError),
+    ],
+)
+def test_window_bounds_that_overflow_the_grid(t, interval, error):
+    # ceil/floor of an infinite quotient once leaked an OverflowError
+    tr = make_trace(np.zeros(3), dt=0.5)
+    with pytest.raises(error):
+        window_indices(tr, t, interval)
 
 
 def test_csv_roundtrip(tmp_path):

@@ -13,8 +13,13 @@ import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
 from stlopt import (
+    Eventually,
+    Globally,
+    InsufficientHorizonError,
     MetricConfig,
+    Pred,
     Trace,
+    Until,
     benchmark_eq2,
     evaluate,
     horizon,
@@ -22,10 +27,13 @@ from stlopt import (
     satisfies,
     semantics,
 )
+from stlopt.formula import children
 from stlopt.properties import random_instance
 from stlopt.task import _min_coverage, evaluation_trace
+from stlopt.trace import GRID_TOL
 
-from oracle import ref_robustness, ref_satisfies, ref_time
+from oracle import _window as oracle_window
+from oracle import brute_sat, brute_space, ref_robustness, ref_satisfies, ref_time
 
 K, NU = 10.0, 2.0
 
@@ -159,3 +167,95 @@ def test_stack_equals_np_stack_on_the_last_axis(n_cols):
         assert np.array_equal(got, want)
         # same C-ordered block, so a last-axis reduction sums in the same order
         assert np.array_equal(np.add.reduce(got, axis=-1), np.sum(want, axis=-1))
+
+
+# The walk is the only coverage check ------------------------------------------
+
+SCALES = {"x": 2.0, "y": 2.0}
+WALKED = ("space", "lse", "smooth", "agm", "avg", "new")
+
+
+def truncations(x):
+    """x cut to its first n samples, for every n from 1 to its length."""
+    return [Trace(x.channels, x.t0, x.dt, x.samples[:n]) for n in range(1, x.n_samples + 1)]
+
+
+@pytest.mark.parametrize("avg_safe", [False, True])
+def test_the_walk_raises_exactly_where_the_horizon_rule_did(avg_safe):
+    """On grid intervals, every semantics raises InsufficientHorizonError
+    exactly when t + horizon(f) > end_time + GRID_TOL, the rule that each
+    evaluation once checked by folding horizon(f) before the walk, and
+    otherwise gives the per-sample reference value."""
+    rng = np.random.default_rng(1400 + avg_safe)
+    kinds = [kind for kind in ("time",) + WALKED if avg_safe or kind != "avg"]
+    raised = scored = 0
+    for _ in range(200):
+        f, full = random_instance(rng, avg_safe=avg_safe)
+        for x in truncations(full):
+            t = x.t0 + int(rng.integers(0, x.n_samples)) * x.dt
+            if t + horizon(f) <= x.end_time + GRID_TOL:
+                assert_matches_reference(f, x, t, SCALES, avg_safe)
+                scored += 1
+                continue
+            raised += 1
+            with pytest.raises(InsufficientHorizonError):
+                satisfies(f, x, t)
+            for kind in kinds:
+                with pytest.raises(InsufficientHorizonError):
+                    evaluate(MetricConfig(kind, agm_scales=SCALES), f, x, t)
+    assert raised > 500 and scored > 500
+
+
+def last_read(f, x, k):
+    """The last sample index the per-sample definition reads for f at k."""
+    if isinstance(f, Pred):
+        return k
+    if not isinstance(f, (Globally, Eventually, Until)):
+        return max(last_read(g, x, k) for g in children(f))
+    j = oracle_window(x, x.t0 + k * x.dt, f.interval)[-1]
+    return max(last_read(g, x, j) for g in children(f))
+
+
+def test_an_interval_off_the_grid_needs_only_the_samples_it_reads():
+    # the horizon rule asked for samples to 0.25 s, one past the last read
+    f = parse_formula("F[0,0.25](x > 0)")
+    x = Trace(("x",), 0.0, 0.1, [[0.1], [0.5], [0.2]])
+    assert evaluate(MetricConfig("space"), f, x, 0.0).value == 0.5 == brute_space(f, x, 0.0)
+    assert satisfies(f, x, 0.0) and brute_sat(f, x, 0.0)
+    # random formulas, whose intervals are multiples of 0.5 s, on a 0.3 s grid
+    rng = np.random.default_rng(1401)
+    rule_rejected = 0
+    for _ in range(200):
+        f, _ = random_instance(rng)
+        n = math.ceil(horizon(f) / 0.3) + 1  # enough to hold every window whole
+        full = Trace(("x", "y"), 0.0, 0.3, rng.uniform(-1.0, 1.0, size=(n, 2)))
+        need = last_read(f, full, 0) + 1
+        for x in truncations(full):
+            if x.n_samples < need:
+                with pytest.raises(InsufficientHorizonError):
+                    satisfies(f, x, 0.0)
+                with pytest.raises(InsufficientHorizonError):
+                    evaluate(MetricConfig("space"), f, x, 0.0)
+                continue
+            assert satisfies(f, x, 0.0) == brute_sat(f, x, 0.0)
+            assert evaluate(MetricConfig("space"), f, x, 0.0).value == brute_space(f, x, 0.0)
+            rule_rejected += horizon(f) > x.end_time + GRID_TOL
+    assert rule_rejected > 50
+
+
+def test_only_time_robustness_folds_the_horizon(monkeypatch):
+    calls = []
+
+    def counting_horizon(f):
+        calls.append(f)
+        return horizon(f)
+
+    monkeypatch.setattr(semantics, "horizon", counting_horizon)
+    f = parse_formula("G[0,1](x > -0.5) & F[0.5,1.5](y < 0.5)")
+    x = long_trace()
+    satisfies(f, x, 0.0)
+    assert calls == []
+    for kind in ("time",) + WALKED:
+        calls.clear()
+        evaluate(MetricConfig(kind, agm_scales=SCALES), f, x, 0.0)
+        assert len(calls) == (kind == "time"), kind
