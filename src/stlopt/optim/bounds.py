@@ -32,10 +32,6 @@ class Bounds:
     def width(self) -> np.ndarray:
         return self.upper - self.lower
 
-    @property
-    def center(self) -> np.ndarray:
-        return 0.5 * (self.lower + self.upper)
-
     def contains(self, x, tol: float = 0.0) -> bool:
         x = np.asarray(x, dtype=float)
         return bool(np.all(x >= self.lower - tol) and np.all(x <= self.upper + tol))

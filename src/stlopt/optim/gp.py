@@ -91,10 +91,6 @@ def _accumulators(a: np.ndarray, b: np.ndarray, j: int, width: int, stop: int) -
     return total
 
 
-def _kernel(d2: np.ndarray, lengthscale: float, sigma_f2: float) -> np.ndarray:
-    return sigma_f2 * np.exp(-d2 / (2.0 * lengthscale * lengthscale))
-
-
 def _standardize(y: np.ndarray) -> tuple[np.ndarray, float, float]:
     y_mean = float(y.mean())
     y_std = float(y.std())
@@ -136,7 +132,8 @@ def _posterior(X, y, lengthscale, sigma_f2, sigma_n2, lam, Q) -> GpModel:
 
 def _k_star(model: GpModel, Xq) -> np.ndarray:
     Xq = np.atleast_2d(np.asarray(Xq, dtype=float))
-    return _kernel(_sq_dists(Xq, model.x), model.lengthscale, model.sigma_f2)
+    d2 = _sq_dists(Xq, model.x)
+    return model.sigma_f2 * np.exp(-d2 / (2.0 * model.lengthscale * model.lengthscale))
 
 
 def gp_mean(model: GpModel, Xq) -> np.ndarray:

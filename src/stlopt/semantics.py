@@ -22,8 +22,8 @@ temporal node asks window_indices for the window at the last index of its
 range, which raises InsufficientHorizonError when that window runs past
 the trace end, and every sample a predicate reads is t itself (checked by
 Trace.time_index) or lies in a window an ancestor has checked.  So a trace
-is accepted exactly when it holds every sample the formula reads at t; with
-intervals off the sample grid that can end before t + horizon(f).
+is accepted exactly when it holds every sample f reads at t, which off the
+grid can end before t + horizon(f); time robustness scans to the last such t.
 
 Negation is threaded through as a polarity flag: predicates negate their
 margin and the aggregator roles swap.  For min/max, LSE, AGM and the
@@ -59,9 +59,9 @@ from .formula import (
     Until,
     channels,
     children,
-    horizon,
+    horizon,  # unused here; perfbench's tracer wraps stlopt.semantics.horizon
 )
-from .trace import GRID_TOL, Trace, window_indices
+from .trace import Trace, window_indices
 
 METRIC_KINDS = ("space", "time", "lse", "smooth", "agm", "avg", "new")
 
@@ -138,6 +138,18 @@ def _stack(cols) -> np.ndarray:
     return np.array(cols).T.copy()
 
 
+def _offsets(f: Formula, x: Trace, k: int) -> tuple[int, int]:
+    """(da, db): the first and last index of temporal f's window at k, less k."""
+    win = window_indices(x, x.t0 + k * x.dt, f.interval)
+    return int(win[0]) - k, int(win[-1]) - k
+
+
+def _reach(f: Formula, x: Trace, k: int) -> int:
+    """How many samples past k the walk of f over a range ending at k reads."""
+    db = _offsets(f, x, k)[1] if isinstance(f, (Globally, Eventually, Until)) else 0
+    return db + max((_reach(g, x, k + db) for g in children(f)), default=0)
+
+
 def _walk(f: Formula, x: Trace, lo: int, hi: int, sem: _Semantics, positive=True) -> np.ndarray:
     """Values of f (negated when not positive) at sample indices lo..hi."""
     if isinstance(f, Pred):
@@ -155,8 +167,7 @@ def _walk(f: Formula, x: Trace, lo: int, hi: int, sem: _Semantics, positive=True
         raise TypeError(f"not a formula node: {f!r}")
     # offsets are the same at every index; the last index's window is the
     # first to run past the trace end, so it is the one that must raise
-    win = window_indices(x, x.t0 + hi * x.dt, f.interval)
-    da, db = int(win[0]) - hi, int(win[-1]) - hi
+    da, db = _offsets(f, x, hi)
     if isinstance(f, Until):
         lhs = _walk(f.lhs, x, lo, hi + db, sem, positive)
         rhs = _walk(f.rhs, x, lo + da, hi + db, sem, positive)
@@ -225,12 +236,11 @@ def time_robustness_plus(f: Formula, x: Trace, t: float) -> float:
     """Largest forward shift (in seconds) over which the verdict at t persists,
     negated when f is violated at t.
 
-    The scan saturates at the last shift for which the horizon still fits in
-    the trace.
+    The scan ends at the last shift whose walk the trace holds; _reach asks
+    for the windows the walk at t asks for, so it raises as that walk would.
     """
-    k0, h = x.time_index(t), horizon(f)
-    shifts = np.arange(1, x.n_samples - k0)
-    last = int(np.count_nonzero(t + shifts * x.dt + h <= x.end_time + GRID_TOL))
+    k0 = x.time_index(t)
+    last = x.n_samples - 1 - k0 - _reach(f, x, k0)
     verdicts = _walk(f, x, k0, k0 + last, _BOOLEAN) > 0
     changed = np.flatnonzero(verdicts != verdicts[0])
     d_max = (last if changed.size == 0 else int(changed[0]) - 1) * x.dt

@@ -37,10 +37,6 @@ class Region:
         if self.x_ub <= self.x_lb or self.y_ub <= self.y_lb:
             raise ValueError(f"region {self.name!r} box is degenerate")
 
-    @property
-    def center(self) -> tuple[float, float]:
-        return (0.5 * (self.x_lb + self.x_ub), 0.5 * (self.y_lb + self.y_ub))
-
 
 # Longest trajectory a task may ask for, in samples (3 x the longest segment
 # duration x sample_rate); eq2 asks for 300.

@@ -54,6 +54,8 @@ class Trace:
                 raise ValueError(f"duplicate channel {name!r} in header")
         if not np.all(np.isfinite(samples)):
             raise ValueError("samples must be finite (no NaN or infinity)")
+        if not math.isfinite(float(self.t0) + (samples.shape[0] - 1) * float(self.dt)):
+            raise ValueError(f"t0 {self.t0} and dt {self.dt} give a non-finite end time")
         samples.setflags(write=False)
         object.__setattr__(self, "samples", samples)
         object.__setattr__(self, "channels", tuple(self.channels))
@@ -66,9 +68,6 @@ class Trace:
     def end_time(self) -> float:
         return self.t0 + (self.n_samples - 1) * self.dt
 
-    def times(self) -> np.ndarray:
-        return self.t0 + self.dt * np.arange(self.n_samples)
-
     def column(self, channel: str) -> np.ndarray:
         try:
             j = self.channels.index(channel)
@@ -77,9 +76,6 @@ class Trace:
                 f"unknown channel {channel!r}; trace has {list(self.channels)}"
             ) from None
         return self.samples[:, j]
-
-    def value(self, channel: str, k: int) -> float:
-        return float(self.column(channel)[k])
 
     def time_index(self, t: float) -> int:
         """Grid index of time t; raises if t is non-finite, off-grid or outside
@@ -151,6 +147,9 @@ def load_trace_csv(path: str) -> Trace:
     if bad.any():
         raise TraceError(f"{path}: non-finite value in data row {int(np.argmax(bad)) + 1}")
     times = data[:, 0]
+    # finite times can span more than a float holds, where np.diff overflows
+    if not math.isfinite(float(times.max()) - float(times.min())):
+        raise TraceError(f"{path}: time column span is not finite")
     if data.shape[0] == 1:
         dt = 1.0  # single sample: period is irrelevant but must be positive
     else:
@@ -171,6 +170,6 @@ def load_trace_csv(path: str) -> Trace:
 def save_trace_csv(trace: Trace, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("time," + ",".join(trace.channels) + "\n")
-        for t, row in zip(trace.times(), trace.samples):
+        for t, row in zip(trace.t0 + trace.dt * np.arange(trace.n_samples), trace.samples):
             cells = [repr(float(t))] + [repr(float(v)) for v in row]
             fh.write(",".join(cells) + "\n")

@@ -14,10 +14,10 @@ import numpy as np
 from scipy.linalg import cho_solve, solve_triangular
 
 from stlopt.exceptions import AgmDomainError
-from stlopt.formula import And, Eventually, Globally, Not, Or, Pred, Until, horizon
+from stlopt.formula import And, Eventually, Globally, Not, Or, Pred, Until, children
 from stlopt.optim import gp
 from stlopt.task import WORKSPACE_HI, WORKSPACE_LO
-from stlopt.trace import GRID_TOL, Trace, window_indices
+from stlopt.trace import Trace, window_indices
 
 EPS = 1e-9
 
@@ -192,7 +192,7 @@ def _win(x, k, interval):
 
 def _ref_sat(f, x, k):
     if isinstance(f, Pred):
-        return f.holds(x.value(f.channel, k))
+        return f.holds(float(x.column(f.channel)[k]))
     if isinstance(f, Not):
         return not _ref_sat(f.child, x, k)
     if isinstance(f, And):
@@ -242,7 +242,7 @@ def _ref_rho(f, x, k, and_agg, or_agg, pred_value, positive):
 
 def _ref_avg(f, x, k):
     if isinstance(f, Pred):
-        return f.margin(x.value(f.channel, k))
+        return f.margin(float(x.column(f.channel)[k]))
     if isinstance(f, Not):
         return -_ref_avg(f.child, x, k)
     if isinstance(f, And):
@@ -263,19 +263,34 @@ def ref_satisfies(f, x, t):
     return _ref_sat(f, x, x.time_index(t))
 
 
+def last_read(f, x, k):
+    """The last sample index the per-sample definition reads for f at k.
+
+    Windows are enumerated on the grid continued past the trace end, so the
+    result exceeds n_samples - 1 exactly when the trace lacks a sample f
+    reads at k."""
+    if isinstance(f, (Globally, Eventually, Until)):
+        t, j = x.t0 + k * x.dt, k  # a >= 0: the window starts at k or later
+        while x.t0 + (j + 1) * x.dt <= t + f.interval.b + EPS:
+            j += 1
+        k = j
+    return max((last_read(g, x, k) for g in children(f)), default=k)
+
+
 def ref_time(f, x, t):
-    """(value, chi, truncated) of the right time robustness, shift by shift."""
-    base = ref_satisfies(f, x, t)
+    """(value, chi) of the right time robustness, shift by shift: a shift j
+    is scanned while the trace holds every sample f reads at t + j dt."""
+    k0 = x.time_index(t)
+    base = _ref_sat(f, x, k0)
     chi = 1 if base else -1
-    h = horizon(f)
     d_max = 0.0
     j = 1
-    while t + j * x.dt + h <= x.end_time + GRID_TOL:
-        if ref_satisfies(f, x, t + j * x.dt) != base:
-            return chi * d_max, chi, False
+    while last_read(f, x, k0 + j) < x.n_samples:
+        if _ref_sat(f, x, k0 + j) != base:
+            break
         d_max = j * x.dt
         j += 1
-    return chi * d_max, chi, True
+    return chi * d_max, chi
 
 
 def ref_robustness(kind, f, x, t, k=10.0, nu=2.0, scales=None):
@@ -285,7 +300,7 @@ def ref_robustness(kind, f, x, t, k=10.0, nu=2.0, scales=None):
         return _ref_avg(f, x, k0)
 
     def margin(p, x_, i):
-        return p.margin(x_.value(p.channel, i))
+        return p.margin(float(x_.column(p.channel)[i]))
 
     def agm_margin(p, x_, i):
         return float(np.clip(margin(p, x_, i) / scales[p.channel], -1.0, 1.0))

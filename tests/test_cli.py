@@ -115,6 +115,26 @@ def test_eval_time_or_window_past_the_grid_exit_2(trace_csv, capsys, formula, ti
     assert capsys.readouterr() == ("", f"stlopt: {error}\n")
 
 
+def test_eval_time_on_an_interval_off_the_grid(tmp_path, capsys):
+    # the scan stopped where t + horizon passed the end: value 0.0.  dt is
+    # read as 0.3 / 3, one ulp below 0.1
+    p = tmp_path / "offgrid.csv"
+    p.write_text("time,x\n0.0,0.1\n0.1,0.5\n0.2,0.2\n0.3,0.3\n")
+    assert main(["eval", "--formula", "F[0,0.25](x > 0)", "--trace", str(p),
+                 "--metric", "time", "--time", "0"]) == 0
+    assert json.loads(capsys.readouterr().out)["value"] == pytest.approx(0.1, abs=1e-12)
+
+
+def test_eval_trace_whose_time_span_overflows_exit_2(tmp_path, capsys):
+    # numpy's overflow warnings, then exit 1 with "cannot convert float NaN
+    # to integer"
+    p = tmp_path / "span.csv"
+    p.write_text("time,x\n-1e308,1.0\n1e308,2.0\n")
+    assert main(["eval", "--formula", "F[0,1](x > 0)", "--trace", str(p),
+                 "--metric", "space", "--time=-1e308"]) == 2
+    assert capsys.readouterr() == ("", f"stlopt: {p}: time column span is not finite\n")
+
+
 def test_usage_error_exit_1():
     code, _, err = run_cli("eval", "--formula", "x > 0")
     assert code == 1

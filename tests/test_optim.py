@@ -36,7 +36,6 @@ def test_bounds_validation():
 def test_bounds_helpers():
     b = Bounds(np.array([-1.0, 0.0]), np.array([1.0, 10.0]))
     assert b.n == 2
-    np.testing.assert_allclose(b.center, [0.0, 5.0])
     assert b.contains([0.0, 5.0]) and not b.contains([0.0, 11.0])
     np.testing.assert_allclose(b.from_unit(b.to_unit([0.5, 2.5])), [0.5, 2.5])
 

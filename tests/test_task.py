@@ -32,7 +32,7 @@ def vector(durations, waypoints):
 
 
 def centers_vector(spec, durations=(3.5, 5.5, 4.5)):
-    c = [r.center for r in spec.regions]
+    c = [(0.5 * (r.x_lb + r.x_ub), 0.5 * (r.y_lb + r.y_ub)) for r in spec.regions]
     return np.array(list(durations) + [c[0][0], c[0][1], c[1][0], c[1][1], c[2][0], c[2][1]])
 
 

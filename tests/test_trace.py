@@ -48,6 +48,24 @@ def test_construction_rejects_a_duplicate_or_empty_channel_name(channels, error)
         Trace(channels, 0.0, 1.0, np.ones((2, len(channels))))
 
 
+@pytest.mark.parametrize(
+    "t0,dt,n",
+    [
+        (math.nan, 0.1, 3),
+        (math.inf, 0.1, 3),
+        (-math.inf, 0.1, 1),
+        (0.0, math.nan, 3),
+        (0.0, math.nan, 1),  # NaN passes dt <= 0
+        (0.0, math.inf, 2),
+        (0.0, math.inf, 1),
+        (1e308, 1e308, 3),  # finite t0 and dt whose end time overflows
+    ],
+)
+def test_construction_rejects_a_grid_that_is_not_finite(t0, dt, n):
+    with pytest.raises(ValueError, match="non-finite end time$"):
+        Trace(("x",), t0, dt, np.zeros((n, 1)))
+
+
 def test_construction_leaves_the_callers_array_writable():
     samples = np.zeros((3, 1))
     trace = Trace(("x",), 0.0, 1.0, samples)
@@ -215,7 +233,18 @@ def test_csv_single_row(tmp_path):
     p = tmp_path / "one.csv"
     p.write_text("time,x\n0.0,1.5\n")
     tr = load_trace_csv(str(p))
-    assert tr.n_samples == 1 and tr.value("x", 0) == 1.5
+    assert tr.n_samples == 1 and tr.samples[0, 0] == 1.5
+
+
+@pytest.mark.parametrize("times", [("-1e308", "1e308"), ("1e308", "-1e308", "1e308")])
+def test_csv_rejects_a_time_span_that_is_not_finite(tmp_path, times):
+    # dt came out as inf, after numpy's overflow warnings from np.diff
+    p = tmp_path / "span.csv"
+    p.write_text("time,x\n" + "".join(f"{t},1.0\n" for t in times))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(TraceError, match=r"span\.csv: time column span is not finite$"):
+            load_trace_csv(str(p))
 
 
 @pytest.mark.parametrize("cells", [("0.1", "nan", "0.3"), ("nan", "0.1", "0.3"), ("0.1", "-inf", "0.3")])

@@ -13,13 +13,9 @@ import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
 from stlopt import (
-    Eventually,
-    Globally,
     InsufficientHorizonError,
     MetricConfig,
-    Pred,
     Trace,
-    Until,
     benchmark_eq2,
     evaluate,
     horizon,
@@ -27,13 +23,11 @@ from stlopt import (
     satisfies,
     semantics,
 )
-from stlopt.formula import children
 from stlopt.properties import random_instance
 from stlopt.task import _min_coverage, evaluation_trace
 from stlopt.trace import GRID_TOL
 
-from oracle import _window as oracle_window
-from oracle import brute_sat, brute_space, ref_robustness, ref_satisfies, ref_time
+from oracle import brute_sat, brute_space, last_read, ref_robustness, ref_satisfies, ref_time
 
 K, NU = 10.0, 2.0
 
@@ -41,7 +35,7 @@ K, NU = 10.0, 2.0
 def assert_matches_reference(f, x, t, scales, avg_ok):
     assert satisfies(f, x, t) == ref_satisfies(f, x, t)
     r = evaluate(MetricConfig("time"), f, x, t).value
-    assert (r, math.copysign(1, r)) == ref_time(f, x, t)[:2]
+    assert (r, math.copysign(1, r)) == ref_time(f, x, t)
     got = {
         "space": evaluate(MetricConfig("space"), f, x, t).value,
         "lse": evaluate(MetricConfig("lse", k=K), f, x, t).value,
@@ -206,16 +200,6 @@ def test_the_walk_raises_exactly_where_the_horizon_rule_did(avg_safe):
     assert raised > 500 and scored > 500
 
 
-def last_read(f, x, k):
-    """The last sample index the per-sample definition reads for f at k."""
-    if isinstance(f, Pred):
-        return k
-    if not isinstance(f, (Globally, Eventually, Until)):
-        return max(last_read(g, x, k) for g in children(f))
-    j = oracle_window(x, x.t0 + k * x.dt, f.interval)[-1]
-    return max(last_read(g, x, j) for g in children(f))
-
-
 def test_an_interval_off_the_grid_needs_only_the_samples_it_reads():
     # the horizon rule asked for samples to 0.25 s, one past the last read
     f = parse_formula("F[0,0.25](x > 0)")
@@ -243,19 +227,72 @@ def test_an_interval_off_the_grid_needs_only_the_samples_it_reads():
     assert rule_rejected > 50
 
 
-def test_only_time_robustness_folds_the_horizon(monkeypatch):
-    calls = []
+def test_time_robustness_scans_to_the_last_shift_the_trace_holds():
+    # the horizon rule stopped the scan at t = 0 (value 0.0): t = 0.1 + 0.25
+    # passes the end at 0.3, although the window there reads samples 1-3 only
+    f = parse_formula("F[0,0.25](x > 0)")
+    x = Trace(("x",), 0.0, 0.1, [[0.1], [0.5], [0.2], [0.3]])
+    assert satisfies(f, x, 0.0) and satisfies(f, x, 0.1)
+    r = evaluate(MetricConfig("time"), f, x, 0.0).value
+    assert r == 0.1 and (r, 1.0) == ref_time(f, x, 0.0)
 
-    def counting_horizon(f):
-        calls.append(f)
-        return horizon(f)
 
-    monkeypatch.setattr(semantics, "horizon", counting_horizon)
+def test_off_the_grid_the_time_scan_ends_where_the_walk_does(monkeypatch):
+    """Random formulas, whose intervals are multiples of 0.5 s, on a 0.3 s
+    grid: the time value is the per-shift reference, and the scan covers
+    exactly the indices at which satisfies does not raise."""
+    ranges = []
+    walk = semantics._walk
+
+    def recording_walk(f, x, lo, hi, sem, positive=True):
+        ranges.append((lo, hi))
+        return walk(f, x, lo, hi, sem, positive)
+
+    monkeypatch.setattr(semantics, "_walk", recording_walk)
+    rng = np.random.default_rng(1601)
+    scored = 0
+    for _ in range(200):
+        f, _ = random_instance(rng)
+        n = math.ceil(horizon(f) / 0.3) + int(rng.integers(1, 6))
+        x = Trace(("x", "y"), 0.0, 0.3, rng.uniform(-1.0, 1.0, size=(n, 2)))
+        fits = []
+        for k in range(n):
+            try:
+                satisfies(f, x, k * 0.3)
+                fits.append(k)
+            except InsufficientHorizonError:
+                pass
+        assert fits == list(range(len(fits)))  # a prefix of the grid
+        for k0 in set(rng.integers(0, n, size=3).tolist()):
+            if k0 not in fits:
+                with pytest.raises(InsufficientHorizonError):
+                    evaluate(MetricConfig("time"), f, x, k0 * 0.3)
+                continue
+            ranges.clear()
+            r = evaluate(MetricConfig("time"), f, x, k0 * 0.3).value
+            assert ranges[0] == (k0, fits[-1])  # the scan's own walk
+            assert (r, math.copysign(1, r)) == ref_time(f, x, k0 * 0.3)
+            scored += 1
+    assert scored > 250
+
+
+def test_a_formula_that_fits_node_by_node_but_not_whole_raises():
+    # at t = 0 each window, [0, 1] s, fits in the 1.5 s trace; G's window at
+    # 1 s then asks for F's window up to 2 s
+    f = parse_formula("G[0,1](F[0,1](x > 0))")
+    x = Trace(("x",), 0.0, 0.1, np.ones((16, 1)))
+    for kind in ("time", "space"):
+        with pytest.raises(InsufficientHorizonError, match="past the last sample at 1.5"):
+            evaluate(MetricConfig(kind), f, x, 0.0)
+
+
+def test_nothing_in_semantics_folds_the_horizon(monkeypatch):
+    def refuse(f):
+        raise AssertionError("horizon folded during an evaluation")
+
+    monkeypatch.setattr(semantics, "horizon", refuse)
     f = parse_formula("G[0,1](x > -0.5) & F[0.5,1.5](y < 0.5)")
     x = long_trace()
     satisfies(f, x, 0.0)
-    assert calls == []
     for kind in ("time",) + WALKED:
-        calls.clear()
         evaluate(MetricConfig(kind, agm_scales=SCALES), f, x, 0.0)
-        assert len(calls) == (kind == "time"), kind
