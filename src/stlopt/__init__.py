@@ -59,6 +59,5 @@ from .task import (
     objective_detail,
 )
 from .harness import ExperimentConfig, ExperimentResult, emit_results, run_experiment
-from .properties import run_property_suite
 
 __version__ = "0.1.0"

@@ -14,7 +14,6 @@ import sys
 from .exceptions import StlError
 from .harness import ExperimentConfig, emit_results, load_task, run_experiment, summary_dict
 from .parser import parse_formula
-from .properties import run_property_suite
 from .optim.driver import METHODS
 from .semantics import METRIC_KINDS, MetricConfig, evaluate, satisfies
 from .task import task_to_json
@@ -134,6 +133,7 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_check_properties(args) -> int:
+    from .properties import run_property_suite  # here: only this command needs it
     report = run_property_suite(samples=args.samples, seed=args.seed)
     print(report.text())
     return EXIT_OK if report.passed else EXIT_PROPERTIES

@@ -21,7 +21,7 @@ from .task import (
     load_task_file,
     objective_detail,
 )
-from .trace import save_trace_csv
+from .trace import CSV_BLOCK_ROWS, save_trace_csv
 
 FAIL = "Fail"
 
@@ -164,13 +164,14 @@ def emit_results(result: ExperimentResult, out_dir: str) -> dict[str, str]:
         with open(paths["runs"], "w", encoding="utf-8") as fh:
             names = ",".join(PARAM_NAMES)
             fh.write(f"seed,eval,{names},robustness,satisfied,best_so_far\n")
+            row = "%d,%d," + "%r," * len(PARAM_NAMES) + "%r,%s,%r\n"
             for s in result.per_seed:
-                for r in s.records:
-                    params = ",".join(repr(float(v)) for v in r.params)
-                    fh.write(
-                        f"{s.seed},{r.index},{params},{repr(r.value)},"
-                        f"{str(bool(r.satisfied)).lower()},{repr(r.best_so_far)}\n"
-                    )
+                for lo in range(0, len(s.records), CSV_BLOCK_ROWS):
+                    fh.write("".join([
+                        row % (s.seed, r.index, *r.params.tolist(), r.value,
+                               "true" if r.satisfied else "false", r.best_so_far)
+                        for r in s.records[lo : lo + CSV_BLOCK_ROWS]
+                    ]))
 
         with open(paths["summary"], "w", encoding="utf-8") as fh:
             json.dump(summary_dict(result), fh, indent=2, sort_keys=True)

@@ -18,6 +18,7 @@ from .exceptions import (
 from .formula import Interval
 
 GRID_TOL = 1e-9  # absolute tolerance (seconds) when matching times to the grid
+CSV_BLOCK_ROWS = 4096  # rows formatted per write: a long trace never exists whole as text
 
 
 @dataclass(frozen=True, eq=False)
@@ -25,7 +26,8 @@ class Trace:
     """Signal sampled at t0 + k*dt; one row per step, one column per channel.
 
     The channels are the header of the trace's CSV form 'time,<ch1>,...',
-    so each needs a name of its own: column() reads the first match.
+    so each needs a name of its own (column() reads the first match) that
+    the CSV reads back as written: no comma, line break or outer whitespace.
     """
 
     channels: tuple[str, ...]
@@ -47,11 +49,17 @@ class Trace:
             raise ValueError(
                 f"{samples.shape[1]} columns for {len(self.channels)} channels"
             )
+        if not self.channels:
+            raise ValueError("trace needs at least one channel")
         for i, name in enumerate(self.channels):
             if not name:
                 raise ValueError(f"header column {i + 2} has no channel name")
             if name in self.channels[:i]:
                 raise ValueError(f"duplicate channel {name!r} in header")
+            if name != name.strip() or "," in name or "\n" in name or "\r" in name:
+                raise ValueError(
+                    f"channel name {name!r} has a comma, a line break or surrounding whitespace"
+                )
         if not np.all(np.isfinite(samples)):
             raise ValueError("samples must be finite (no NaN or infinity)")
         if not math.isfinite(float(self.t0) + (samples.shape[0] - 1) * float(self.dt)):
@@ -156,7 +164,15 @@ def load_trace_csv(path: str) -> Trace:
         diffs = np.diff(times)
         if np.any(diffs <= 0):
             raise TraceError(f"{path}: time column must be strictly increasing")
-        dt = float((times[-1] - times[0]) / (len(times) - 1))
+        # the decimals the file shows, divided exactly and rounded once (int /
+        # int): times 0.0 .. 0.3 give 0.1, binary gives 0.09999999999999999
+        from decimal import Decimal  # here: only a CSV load needs it
+
+        (p, q), (p0, q0) = (Decimal(repr(v)).as_integer_ratio() for v in times[[-1, 0]].tolist())
+        try:
+            dt = (p * q0 - p0 * q) / (q * q0 * (len(times) - 1))
+        except OverflowError:  # the decimals span past the float range, binary not
+            raise TraceError(f"{path}: time column span is not finite") from None
         if np.any(np.abs(diffs - dt) > 1e-6 * dt):
             raise TraceError(
                 f"{path}: non-uniform sampling (relative tolerance 1e-6 exceeded)"
@@ -168,8 +184,13 @@ def load_trace_csv(path: str) -> Trace:
 
 
 def save_trace_csv(trace: Trace, path: str) -> None:
+    """Write the 'time,<ch1>,...' CSV that load_trace_csv reads; every value
+    is the repr of its float, a block of CSV_BLOCK_ROWS rows per write."""
+    row = ",".join(["%r"] * (1 + len(trace.channels))) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("time," + ",".join(trace.channels) + "\n")
-        for t, row in zip(trace.t0 + trace.dt * np.arange(trace.n_samples), trace.samples):
-            cells = [repr(float(t))] + [repr(float(v)) for v in row]
-            fh.write(",".join(cells) + "\n")
+        for lo in range(0, trace.n_samples, CSV_BLOCK_ROWS):
+            block = trace.samples[lo : lo + CSV_BLOCK_ROWS]
+            times = trace.t0 + trace.dt * np.arange(lo, lo + len(block))
+            cells = np.column_stack((times, block)).ravel().tolist()
+            fh.write((row * len(block)) % tuple(cells))

@@ -5,7 +5,7 @@ time by scanning the whole grid, recompute margins inline, and use Python's
 min/max directly.  They share no code with the library, so the two can
 disagree.  The ref_* functions below are the per-sample reference for all
 the library's semantics and aggregators, for the GP hyperparameter grid and
-posterior, and for the eq2 trajectory builder.
+posterior, for the eq2 trajectory builder and for the result CSV writers.
 """
 
 import math
@@ -16,7 +16,7 @@ from scipy.linalg import cho_solve, solve_triangular
 from stlopt.exceptions import AgmDomainError
 from stlopt.formula import And, Eventually, Globally, Not, Or, Pred, Until, children
 from stlopt.optim import gp
-from stlopt.task import WORKSPACE_HI, WORKSPACE_LO
+from stlopt.task import PARAM_NAMES, WORKSPACE_HI, WORKSPACE_LO
 from stlopt.trace import Trace, window_indices
 
 EPS = 1e-9
@@ -398,3 +398,30 @@ def ref_build_trajectory(p, sample_rate, home):
     if n > 1:
         samples[-1] = points[3]
     return Trace(("x", "y"), 0.0, dt, samples)
+
+
+# Result files -------------------------------------------------------------
+#
+# The CSV writers as first written: one repr per value, one write per row.
+# save_trace_csv and emit_results format a block of rows at a time and must
+# reproduce these byte for byte.
+
+
+def ref_trace_csv(trace):
+    lines = ["time," + ",".join(trace.channels) + "\n"]
+    for t, row in zip(trace.t0 + trace.dt * np.arange(trace.n_samples), trace.samples):
+        cells = [repr(float(t))] + [repr(float(v)) for v in row]
+        lines.append(",".join(cells) + "\n")
+    return "".join(lines)
+
+
+def ref_runs_csv(result):
+    lines = ["seed,eval," + ",".join(PARAM_NAMES) + ",robustness,satisfied,best_so_far\n"]
+    for s in result.per_seed:
+        for r in s.records:
+            params = ",".join(repr(float(v)) for v in r.params)
+            lines.append(
+                f"{s.seed},{r.index},{params},{repr(r.value)},"
+                f"{str(bool(r.satisfied)).lower()},{repr(r.best_so_far)}\n"
+            )
+    return "".join(lines)

@@ -3,15 +3,16 @@ import json
 import numpy as np
 import pytest
 
-from stlopt import ExperimentConfig, MetricConfig, emit_results, run_experiment
-from stlopt.harness import load_task, summary_dict
+from stlopt import ExperimentConfig, MetricConfig, RunRecord, emit_results, run_experiment
+from stlopt.harness import ExperimentResult, SeedResult, load_task, summary_dict
 from stlopt.task import (
     PARAM_NAMES,
     build_trajectory,
     evaluation_trace,
     objective_detail,
 )
-from stlopt.trace import load_trace_csv
+from stlopt.trace import CSV_BLOCK_ROWS, load_trace_csv
+from oracle import ref_runs_csv, ref_trace_csv
 
 
 def small_config(**overrides):
@@ -105,6 +106,31 @@ def test_emit_results_files(tmp_path):
     best = max(result.per_seed[0].records, key=lambda r: r.value)
     expected = evaluation_trace(load_task("eq2"), best.params).n_samples
     assert len(trace_lines) == expected + 1
+
+
+@pytest.mark.parametrize("method", ["bo", "cmaes", "random"])
+def test_result_csvs_match_the_per_row_reference(tmp_path, method):
+    result = run_experiment(small_config(method=method, budget=12, metric=MetricConfig("new")))
+    emit_results(result, str(tmp_path))
+    assert (tmp_path / "runs.csv").read_bytes() == ref_runs_csv(result).encode("utf-8")
+    best = max((r for s in result.per_seed for r in s.records), key=lambda r: r.value)
+    scored = evaluation_trace(result.task, best.params)
+    assert (tmp_path / "trace_best.csv").read_bytes() == ref_trace_csv(scored).encode("utf-8")
+
+
+def test_runs_csv_one_row_past_a_block_matches_the_per_row_reference(tmp_path):
+    cfg = small_config(budget=CSV_BLOCK_ROWS + 1, seeds=[3, 0])
+    task = load_task("eq2")
+    params = (task.bounds.lower + task.bounds.upper) / 3
+    awkward = [-0.0, 5e-324, 1e16, 1e-05, 0.1 + 0.2, 1e300, -1e300]
+    records = [
+        RunRecord(i + 1, params, awkward[i % 7], (None, True, False)[i % 3], awkward[-i % 7])
+        for i in range(cfg.budget)
+    ]
+    per_seed = [SeedResult(seed, records, 0.0, None) for seed in cfg.seeds]
+    result = ExperimentResult(cfg, task, per_seed, 0.0, None)
+    emit_results(result, str(tmp_path))
+    assert (tmp_path / "runs.csv").read_bytes() == ref_runs_csv(result).encode("utf-8")
 
 
 def test_trace_best_is_the_scored_trace(tmp_path):

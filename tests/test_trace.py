@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -21,7 +22,9 @@ from stlopt import (
     window_indices,
 )
 from stlopt.semantics import METRIC_KINDS
+from stlopt.trace import CSV_BLOCK_ROWS
 from conftest import make_trace
+from oracle import ref_trace_csv
 
 
 def test_construction_invariants():
@@ -46,6 +49,26 @@ def test_construction_rejects_a_duplicate_or_empty_channel_name(channels, error)
     # ("x", "x") once scored x > 0 from the first column only
     with pytest.raises(ValueError, match=f"^{error}$"):
         Trace(channels, 0.0, 1.0, np.ones((2, len(channels))))
+
+
+@pytest.mark.parametrize("name", ["a,b", "x\ny", "x\r", " x", "x ", "\tx"])
+def test_construction_rejects_a_channel_name_the_csv_cannot_carry(name):
+    # the loader read these back as a wrong width, a bad row or a renamed channel
+    with pytest.raises(ValueError, match="has a comma, a line break or surrounding whitespace$"):
+        Trace(("x", name), 0.0, 1.0, np.ones((2, 2)))
+
+
+def test_construction_rejects_a_trace_without_channels():
+    # its CSV header 'time,' was rejected on load
+    with pytest.raises(ValueError, match="^trace needs at least one channel$"):
+        Trace((), 0.0, 1.0, np.zeros((3, 0)))
+
+
+def test_csv_roundtrip_keeps_every_accepted_channel_name(tmp_path):
+    path = str(tmp_path / "names.csv")
+    channels = ("x", "a b", "y_1", "π")
+    save_trace_csv(make_trace(np.ones((2, 4)), channels=channels), path)
+    assert load_trace_csv(path).channels == channels
 
 
 @pytest.mark.parametrize(
@@ -174,8 +197,57 @@ def test_csv_roundtrip(tmp_path):
     save_trace_csv(tr, path)
     back = load_trace_csv(path)
     assert back.channels == ("x", "y")
-    assert back.dt == pytest.approx(0.1, rel=1e-12)
+    assert back.dt == 0.1
     np.testing.assert_array_equal(back.samples, tr.samples)
+
+
+AWKWARD = [-0.0, 5e-324, 1e16, 1e-05, 0.1 + 0.2, 1e300, -1e300]
+
+
+@pytest.mark.parametrize(
+    "trace",
+    [
+        Trace(("x", "y"), 0.1, 0.1, np.column_stack((AWKWARD, AWKWARD[::-1]))),
+        Trace(("x",), -0.0, 0.25, [[5e-324]]),
+        make_trace(np.arange(CSV_BLOCK_ROWS + 1) * 0.1, dt=0.01, t0=-3.0),
+    ],
+    ids=["awkward-floats", "one-row", "one-row-past-a-block"],
+)
+def test_csv_writer_matches_the_per_row_reference(tmp_path, trace):
+    path = tmp_path / "trace.csv"
+    save_trace_csv(trace, str(path))
+    assert path.read_bytes() == ref_trace_csv(trace).encode("utf-8")
+
+
+def _peak_bytes_writing(tmp_path, n_samples):
+    trace = make_trace(np.linspace(-1.0, 1.0, n_samples), dt=0.01)
+    tracemalloc.start()
+    try:
+        save_trace_csv(trace, str(tmp_path / f"long-{n_samples}.csv"))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_csv_writer_memory_does_not_grow_with_the_trace(tmp_path):
+    # a task may ask for 10**6 samples: the writer holds one block of rows
+    # as floats and text at a time, whatever the trace length
+    assert _peak_bytes_writing(tmp_path, 200_000) <= 1.5 * _peak_bytes_writing(tmp_path, 50_000)
+
+
+@pytest.mark.parametrize(
+    "times,dt",
+    [
+        (("0.0", "0.1", "0.2", "0.3"), 0.1),  # binary division: 0.09999999999999999
+        (("0.7", "1.4", "2.1"), 0.7),  # binary division: 0.7000000000000001
+        (("1.0", "1.25", "1.5"), 0.25),
+        (("0.0", "0.3333333333333333", "0.6666666666666666", "1.0"), 1 / 3),
+    ],
+)
+def test_csv_dt_comes_from_the_decimal_times(tmp_path, times, dt):
+    p = tmp_path / "dt.csv"
+    p.write_text("time,x\n" + "".join(f"{t},1.0\n" for t in times))
+    assert load_trace_csv(str(p)).dt == dt
 
 
 def test_csv_rejects_non_uniform(tmp_path):
@@ -236,7 +308,14 @@ def test_csv_single_row(tmp_path):
     assert tr.n_samples == 1 and tr.samples[0, 0] == 1.5
 
 
-@pytest.mark.parametrize("times", [("-1e308", "1e308"), ("1e308", "-1e308", "1e308")])
+@pytest.mark.parametrize(
+    "times",
+    [
+        ("-1e308", "1e308"),
+        ("1e308", "-1e308", "1e308"),
+        ("-8.981281392906237e+292", "1.797693134862315e+308"),  # finite in binary only
+    ],
+)
 def test_csv_rejects_a_time_span_that_is_not_finite(tmp_path, times):
     # dt came out as inf, after numpy's overflow warnings from np.diff
     p = tmp_path / "span.csv"
