@@ -48,7 +48,6 @@ from .optim import (
     RandomSearch,
     RunRecord,
     expected_improvement,
-    gp_fit,
     gp_predict,
     optimize,
 )

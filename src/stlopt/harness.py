@@ -15,6 +15,7 @@ from .optim.driver import METHODS, RunRecord, optimize
 from .semantics import MetricConfig
 from .task import (
     PARAM_NAMES,
+    TRAJECTORY_CHANNELS,
     TaskSpec,
     benchmark_eq2,
     evaluation_trace,
@@ -42,6 +43,9 @@ class ExperimentConfig:
             raise ValueError("budget must be at least 1")
         if not self.seeds:
             raise ValueError("seeds must be non-empty")
+        negative = [s for s in self.seeds if s < 0]
+        if negative:
+            raise ValueError(f"seeds: {negative[0]} is negative")
 
     @classmethod
     def from_json(cls, data: dict) -> "ExperimentConfig":
@@ -102,8 +106,8 @@ def load_task(name_or_path: str) -> TaskSpec:
 def _with_default_agm_scales(metric: MetricConfig) -> MetricConfig:
     if metric.kind != "agm" or metric.agm_scales:
         return metric
-    # planar traces carry x and y; the unit workspace makes 1.0 a safe half-range
-    scales = {ch: 1.0 for ch in ("x", "y")}
+    # the unit workspace makes 1.0 a safe half-range
+    scales = {ch: 1.0 for ch in TRAJECTORY_CHANNELS}
     return MetricConfig(metric.kind, metric.k, metric.nu, scales)
 
 

@@ -1,6 +1,6 @@
 from .bounds import Bounds
 from .cmaes import CmaEs
-from .gp import GpModel, expected_improvement, fit_gp_grid, gp_fit, gp_predict
+from .gp import GpModel, expected_improvement, fit_gp_grid, gp_predict
 from .bayes import BayesOpt
 from .random_search import RandomSearch
 from .driver import RunRecord, make_optimizer, optimize
@@ -14,7 +14,6 @@ __all__ = [
     "RunRecord",
     "expected_improvement",
     "fit_gp_grid",
-    "gp_fit",
     "gp_predict",
     "make_optimizer",
     "optimize",

@@ -4,10 +4,11 @@ the expected-improvement acquisition.
 Inputs are expected in the unit box; outputs are standardized internally.
 Hyperparameters are chosen by log-marginal-likelihood (Rasmussen &
 Williams, GPML eq. 5.8) over a fixed logarithmic grid, which keeps the fit
-deterministic.  Each lengthscale's correlation matrix is eigendecomposed
-once, R = Q diag(lam) Q^T, and nothing else is factorized: K + sigma_n2 I =
-Q diag(e) Q^T with e = sigma_f2 lam + sigma_n2 scores the whole grid and
-gives the chosen cell's posterior (GPML section 2.2), alpha = Q (Q^T y / e)
+deterministic.  The ten lengthscales' correlation matrices are
+eigendecomposed in one stacked call, R = Q diag(lam) Q^T for each, and
+nothing else is factorized: K + sigma_n2 I = Q diag(e) Q^T with
+e = sigma_f2 lam + sigma_n2 scores the whole grid and gives the chosen
+cell's posterior (GPML section 2.2), alpha = Q (Q^T y / e)
 and variance sigma_f2 - sum_j (k_* Q)_j^2 / e_j.  A fit with some e <= 0
 raises np.linalg.LinAlgError; the noise is never raised.  numpy is the only
 runtime dependency.
@@ -99,33 +100,12 @@ def _standardize(y: np.ndarray) -> tuple[np.ndarray, float, float]:
     return (y - y_mean) / y_std, y_mean, y_std
 
 
-def _training_data(X, y) -> tuple[np.ndarray, np.ndarray]:
-    """X as (m, n) rows and y as m outputs, m >= 1."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    y = np.asarray(y, dtype=float).ravel()
-    if X.shape[0] != y.size or y.size < 1:
-        raise ValueError("need one output per training input")
-    return X, y
-
-
-def gp_fit(X, y, lengthscale: float, sigma_f2: float, sigma_n2: float) -> GpModel:
-    """Fit with fixed hyperparameters from one eigh of the correlation matrix;
-    the noise is never raised, so some e <= 0 raises np.linalg.LinAlgError."""
-    X, y = _training_data(X, y)
-    hyper = {"lengthscale": lengthscale, "sigma_f2": sigma_f2, "sigma_n2": sigma_n2}
-    for name, value in hyper.items():
-        if not (math.isfinite(value) and value > 0.0):
-            raise ValueError(f"{name} must be finite and positive, got {value!r}")
-    lam, Q = np.linalg.eigh(np.exp(-_sq_dists(X, X) / (2.0 * lengthscale * lengthscale)))
-    return _posterior(X, y, lengthscale, sigma_f2, sigma_n2, lam, Q)
-
-
-def _posterior(X, y, lengthscale, sigma_f2, sigma_n2, lam, Q) -> GpModel:
-    """The GP on (X, y) whose correlation matrix is Q diag(lam) Q^T."""
+def _posterior(X, ys, y_mean, y_std, lengthscale, sigma_f2, sigma_n2, lam, Q) -> GpModel:
+    """The GP on (X, y), with y standardized to ys = (y - y_mean) / y_std,
+    whose correlation matrix is Q diag(lam) Q^T."""
     e = sigma_f2 * lam + sigma_n2
     if not np.all(e > 0.0):
         raise np.linalg.LinAlgError("kernel matrix not positive definite")
-    ys, y_mean, y_std = _standardize(y)
     alpha = Q @ ((Q.T @ ys) / e)
     return GpModel(X, y_mean, y_std, lengthscale, sigma_f2, sigma_n2, Q, e, alpha)
 
@@ -157,30 +137,30 @@ def fit_gp_grid(X, y) -> GpModel:
     sigma_f2 is relative to the standardized outputs (unit variance), so the
     grid spans 0.01 to 100 times the observed output variance.
 
-    Each lengthscale's correlation matrix R is eigendecomposed once,
-    R = Q diag(lam) Q^T, so K = sigma_f2 R + sigma_n2 I has eigenvalues
-    e = sigma_f2 lam + sigma_n2 and, with b = Q^T y, the LML (GPML eq. 5.8)
-    of every (sigma_f2, sigma_n2) pair is -1/2 sum(b^2 / e) - 1/2 sum(log e)
-    up to a constant.  A cell with some e <= 0 scores -inf.  The first
-    maximum in (lengthscale, sigma_f2, sigma_n2) order wins and its posterior
-    reuses (lam, Q); with no finite cell, (0, 0, 0) raises LinAlgError.
+    The ten correlation matrices R, one per lengthscale, are stacked and
+    eigendecomposed in one call, R = Q diag(lam) Q^T, so K = sigma_f2 R +
+    sigma_n2 I has eigenvalues e = sigma_f2 lam + sigma_n2 and, with
+    b = Q^T y, the LML (GPML eq. 5.8) of every (sigma_f2, sigma_n2) pair is
+    -1/2 sum(b^2 / e) - 1/2 sum(log e) up to a constant.  A cell with some
+    e <= 0 scores -inf.  The first maximum in (lengthscale, sigma_f2,
+    sigma_n2) order wins and its posterior reuses its (lam, Q); with no
+    finite cell, (0, 0, 0) raises LinAlgError.
     """
-    X, y = _training_data(X, y)
-    ys, _, _ = _standardize(y)
-    d2 = _sq_dists(X, X)
-    lam = np.empty((_ELL_GRID.size, ys.size))
-    b2 = np.empty_like(lam)
-    Q = np.empty((_ELL_GRID.size, ys.size, ys.size))
-    for i, ell in enumerate(_ELL_GRID):
-        lam[i], Q[i] = np.linalg.eigh(np.exp(-d2 / (2.0 * ell * ell)))
-        b2[i] = (Q[i].T @ ys) ** 2
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    y = np.asarray(y, dtype=float).ravel()
+    if X.shape[0] != y.size or y.size < 1:
+        raise ValueError("need one output per training input")
+    ys, y_mean, y_std = _standardize(y)
+    R = np.exp(-_sq_dists(X, X) / (2.0 * _ELL_GRID * _ELL_GRID)[:, None, None])  # (ell, m, m)
+    lam, Q = np.linalg.eigh(R)
+    b2 = (np.swapaxes(Q, -1, -2) @ ys) ** 2
     e = _SF2_GRID[:, None, None] * lam[:, None, None] + _SN2_GRID[:, None]  # (ell, sf2, sn2, m)
     with np.errstate(divide="ignore", invalid="ignore"):
         lml = -0.5 * np.sum(b2[:, None, None] / e + np.log(e), axis=-1)
     lml[np.any(e <= 0.0, axis=-1)] = -np.inf
     i, j, k = np.unravel_index(np.argmax(lml), lml.shape)
     ell, sf2, sn2 = float(_ELL_GRID[i]), float(_SF2_GRID[j]), float(_SN2_GRID[k])
-    return _posterior(X, y, ell, sf2, sn2, lam[i], Q[i])
+    return _posterior(X, ys, y_mean, y_std, ell, sf2, sn2, lam[i], Q[i])
 
 
 def _norm_cdf(z: float) -> float:

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import ParseError
-from .formula import Eventually, Formula, Globally, Interval, Until, children, horizon
+from .formula import Eventually, Formula, Globally, Interval, Until, channels, children, horizon
 from .jsonfields import json_field, list_of, number, optional_text, text
 from .optim.bounds import Bounds
 from .parser import parse_formula
@@ -19,6 +19,8 @@ from .semantics import MetricConfig, evaluate, satisfies
 from .trace import GRID_TOL, Trace
 
 PARAM_NAMES = ("d1", "d2", "d3", "x1", "y1", "x2", "y2", "x3", "y3")
+# the channels of every trajectory, so the only channels a task formula reads
+TRAJECTORY_CHANNELS = ("x", "y")
 
 WORKSPACE_LO = 0.0
 WORKSPACE_HI = 1.0
@@ -73,6 +75,12 @@ class TaskSpec:
                 f"(3 x {self.duration_range[1]:g} s x {self.sample_rate:g} Hz), "
                 f"above the cap of {MAX_TRACE_SAMPLES:g}"
             )
+        unknown = sorted(channels(self.formula) - set(TRAJECTORY_CHANNELS))
+        if unknown:
+            raise ValueError(
+                f"formula reads channel {unknown[0]!r}; a task trajectory has only "
+                f"{list(TRAJECTORY_CHANNELS)}"
+            )
         object.__setattr__(self, "formula_horizon", horizon(self.formula))
         object.__setattr__(self, "min_coverage", _min_coverage(self.formula))
         if self.formula_horizon > 3 * self.duration_range[1] + GRID_TOL:
@@ -117,7 +125,7 @@ def build_trajectory(p, sample_rate: float, home) -> Trace:
     samples = points[seg - 1] + frac[:, None] * (points[seg] - points[seg - 1])
     if n > 1:
         samples[-1] = points[3]
-    return Trace(("x", "y"), 0.0, dt, samples)
+    return Trace(TRAJECTORY_CHANNELS, 0.0, dt, samples)
 
 
 def region_formula_text(region: Region) -> str:

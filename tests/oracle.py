@@ -348,6 +348,43 @@ def ref_gp_grid_lml(X, y):
     return lml
 
 
+def ref_gp_grid_loop(X, y):
+    """fit_gp_grid as first written: one eigh and one Q^T y per lengthscale
+    in a Python loop; the stacked fit must reproduce every GpModel field
+    bit for bit."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    ys, y_mean, y_std = gp._standardize(np.asarray(y, dtype=float).ravel())
+    d2 = ref_sq_dists(X, X)
+    lam = np.empty((gp._ELL_GRID.size, ys.size))
+    b2 = np.empty_like(lam)
+    Q = np.empty((gp._ELL_GRID.size, ys.size, ys.size))
+    for i, ell in enumerate(gp._ELL_GRID):
+        lam[i], Q[i] = np.linalg.eigh(np.exp(-d2 / (2.0 * ell * ell)))
+        b2[i] = (Q[i].T @ ys) ** 2
+    e = gp._SF2_GRID[:, None, None] * lam[:, None, None] + gp._SN2_GRID[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lml = -0.5 * np.sum(b2[:, None, None] / e + np.log(e), axis=-1)
+    lml[np.any(e <= 0.0, axis=-1)] = -np.inf
+    i, j, k = np.unravel_index(np.argmax(lml), lml.shape)
+    ell, sf2, sn2 = float(gp._ELL_GRID[i]), float(gp._SF2_GRID[j]), float(gp._SN2_GRID[k])
+    e = sf2 * lam[i] + sn2
+    if not np.all(e > 0.0):
+        raise np.linalg.LinAlgError("kernel matrix not positive definite")
+    alpha = Q[i] @ ((Q[i].T @ ys) / e)
+    return gp.GpModel(X, y_mean, y_std, ell, sf2, sn2, Q[i], e, alpha)
+
+
+def ref_gp_fixed(X, y, lengthscale, sigma_f2, sigma_n2):
+    """The package's posterior for one fixed (lengthscale, sigma_f2, sigma_n2)
+    cell, from one eigh of the correlation matrix."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    R = np.exp(-ref_sq_dists(X, X) / (2.0 * lengthscale * lengthscale))
+    ys, y_mean, y_std = gp._standardize(np.asarray(y, dtype=float).ravel())
+    return gp._posterior(
+        X, ys, y_mean, y_std, lengthscale, sigma_f2, sigma_n2, *np.linalg.eigh(R)
+    )
+
+
 def ref_gp_posterior(model, y, Xq):
     """(L, alpha, mean, variance) of the GP with model's inputs and
     hyperparameters, fitted to y and queried at Xq, through scipy's

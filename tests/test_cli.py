@@ -319,6 +319,47 @@ def test_bench_seed_count_above_the_cap_exit_1(capsys):
     assert err.startswith("stlopt: config error: --seeds:") and err.count("\n") == 1
 
 
+def _no_runs(monkeypatch):
+    import stlopt.harness
+
+    runs = []
+    monkeypatch.setattr(stlopt.harness, "optimize", lambda *args: runs.append(args))
+    return runs
+
+
+def test_bench_negative_seed_exit_1_before_any_run(monkeypatch, capsys):
+    runs = _no_runs(monkeypatch)
+    assert main(["bench", "eq2", "--method", "random", "--seeds=2,-1"]) == 1
+    out, err = capsys.readouterr()
+    assert not runs and out == ""
+    assert err == "stlopt: config error: seeds: -1 is negative\n"
+
+
+def test_optimize_negative_seed_exit_1_before_any_run(monkeypatch, tmp_path, capsys):
+    runs = _no_runs(monkeypatch)
+    cfg = {"method": "random", "metric": {"kind": "space"}, "budget": 2, "seeds": [0, -5]}
+    code, err = _optimize_exit_and_error(tmp_path, capsys, cfg)
+    assert code == 1 and not runs
+    assert err == "stlopt: config error: seeds: -5 is negative\n"
+
+
+def test_optimize_task_formula_channel_outside_the_trajectory_exit_1(tmp_path, capsys):
+    from stlopt.task import benchmark_eq2, task_to_json
+
+    task = task_to_json(benchmark_eq2())
+    task["formula"] = "F[0,15](z > 0)"
+    task_path = tmp_path / "task.json"
+    task_path.write_text(json.dumps(task))
+    cfg = {"method": "random", "metric": {"kind": "space"}, "budget": 2, "seeds": [0],
+           "task": str(task_path)}
+    code, err = _optimize_exit_and_error(tmp_path, capsys, cfg)
+    assert code == 1
+    assert err == (
+        f"stlopt: config error: task file {task_path}: formula reads channel 'z'; "
+        "a task trajectory has only ['x', 'y']\n"
+    )
+
+
 def test_optimize_task_trace_above_the_sample_cap_exit_1(tmp_path, capsys):
     from stlopt.task import benchmark_eq2, task_to_json
 

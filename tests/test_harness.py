@@ -4,9 +4,16 @@ import numpy as np
 import pytest
 
 from stlopt import ExperimentConfig, MetricConfig, RunRecord, emit_results, run_experiment
-from stlopt.harness import ExperimentResult, SeedResult, load_task, summary_dict
+from stlopt.harness import (
+    ExperimentResult,
+    SeedResult,
+    _with_default_agm_scales,
+    load_task,
+    summary_dict,
+)
 from stlopt.task import (
     PARAM_NAMES,
+    TRAJECTORY_CHANNELS,
     build_trajectory,
     evaluation_trace,
     objective_detail,
@@ -34,6 +41,13 @@ def test_config_validation():
         small_config(budget=0)
     with pytest.raises(ValueError, match="seeds"):
         small_config(seeds=[])
+    with pytest.raises(ValueError, match="^seeds: -1 is negative$"):
+        small_config(seeds=[2, -1])
+
+
+def test_default_agm_scales_cover_the_trajectory_channels():
+    scales = _with_default_agm_scales(MetricConfig("agm")).agm_scales
+    assert scales == {ch: 1.0 for ch in TRAJECTORY_CHANNELS}
 
 
 def test_config_json_roundtrip():

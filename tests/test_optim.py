@@ -12,14 +12,19 @@ from stlopt.optim import (
     GpModel,
     RandomSearch,
     expected_improvement,
-    gp_fit,
     gp_predict,
     optimize,
 )
 from stlopt.optim import gp
 from stlopt.optim.gp import fit_gp_grid
 from stlopt.task import benchmark_eq2, objective_detail
-from oracle import ref_gp_grid_lml, ref_gp_posterior, ref_sq_dists
+from oracle import (
+    ref_gp_fixed,
+    ref_gp_grid_lml,
+    ref_gp_grid_loop,
+    ref_gp_posterior,
+    ref_sq_dists,
+)
 
 
 def unit_box(n):
@@ -115,7 +120,7 @@ def test_gp_interpolates_training_points():
     rng = np.random.default_rng(0)
     X = rng.uniform(size=(12, 3))
     y = np.sin(X.sum(axis=1) * 3)
-    model = gp_fit(X, y, lengthscale=0.5, sigma_f2=1.0, sigma_n2=1e-8)
+    model = ref_gp_fixed(X, y, lengthscale=0.5, sigma_f2=1.0, sigma_n2=1e-8)
     mean, var = gp_predict(model, X)
     np.testing.assert_allclose(mean, y, atol=1e-4)
     assert np.all(var >= 0)
@@ -124,7 +129,7 @@ def test_gp_interpolates_training_points():
 def test_gp_far_field_reverts_to_prior():
     X = np.array([[0.5]])
     y = np.array([2.0])
-    model = gp_fit(X, y, lengthscale=1.0, sigma_f2=1.0, sigma_n2=1e-8)
+    model = ref_gp_fixed(X, y, lengthscale=1.0, sigma_f2=1.0, sigma_n2=1e-8)
     mean, var = gp_predict(model, [[0.5 + 10.0]])  # 10 lengthscales away
     assert mean[0] == pytest.approx(model.y_mean, abs=1e-6)
     assert var[0] == pytest.approx(model.sigma_f2 * model.y_std**2, rel=1e-6)
@@ -132,7 +137,7 @@ def test_gp_far_field_reverts_to_prior():
 
 def test_gp_duplicate_inputs_with_conflicting_targets():
     X = np.array([[0.3, 0.3], [0.3, 0.3]])
-    model = gp_fit(X, np.array([1.0, 2.0]), 1.0, 1.0, 1e-8)
+    model = ref_gp_fixed(X, np.array([1.0, 2.0]), 1.0, 1.0, 1e-8)
     mean, _ = gp_predict(model, [[0.3, 0.3]])
     assert 1.0 < mean[0] < 2.0
 
@@ -202,9 +207,24 @@ def test_bo_on_eq2_picks_the_cholesky_reference_cell(monkeypatch):
     assert all(cell == best for cell, best in picks)
 
 
+def test_gp_stacked_grid_fit_equals_the_per_lengthscale_loop():
+    # 300 fits: m in 1..60, n in {1, 2, 9}, every other case with duplicated
+    # rows, outputs scaled from 1e-3 to 1e3
+    rng = np.random.default_rng(18)
+    for case in range(300):
+        m, n = 1 + case % 60, (1, 2, 9)[case % 3]
+        X = rng.uniform(size=(m, n))
+        if case % 2:
+            X[m // 2 :] = X[: m - m // 2]
+        y = 10.0 ** rng.uniform(-3, 3) * rng.normal(size=m)
+        model, ref = fit_gp_grid(X, y), ref_gp_grid_loop(X, y)
+        for name in GpModel.__dataclass_fields__:
+            assert np.array_equal(getattr(model, name), getattr(ref, name)), (case, name)
+
+
 def test_gp_grid_fit_factorizes_once(monkeypatch):
-    # the grid's ten eigendecompositions are a fit's only factorizations;
-    # gp_fit makes one, and the posterior reuses it
+    # one stacked eigendecomposition of the ten correlation matrices is a
+    # fit's only factorization, and the posterior reuses it
     calls = []
 
     def counted(name):
@@ -221,10 +241,7 @@ def test_gp_grid_fit_factorizes_once(monkeypatch):
     rng = np.random.default_rng(2)
     X, y, Xq = rng.uniform(size=(40, 9)), rng.normal(size=40), rng.uniform(size=(64, 9))
     gp_predict(fit_gp_grid(X, y), Xq)
-    assert calls == [("eigh", (40, 40))] * 10
-    calls.clear()
-    gp_predict(gp_fit(X, y, 0.5, 1.0, 1e-6), Xq)
-    assert calls == [("eigh", (40, 40))]
+    assert calls == [("eigh", (10, 40, 40))]
 
 
 def test_gp_grid_skips_cells_that_are_not_positive_definite(monkeypatch):
@@ -250,23 +267,11 @@ def test_gp_grid_skips_cells_that_are_not_positive_definite(monkeypatch):
         fit_gp_grid(X, y)
 
 
-@pytest.mark.parametrize(
-    "fit", [fit_gp_grid, lambda X, y: gp_fit(X, y, 0.5, 1.0, 1e-6)], ids=["grid", "fixed"]
-)
 @pytest.mark.filterwarnings("error")  # checked before any numpy work, so nothing warns
-def test_gp_fits_need_one_output_per_training_input(fit):
+def test_gp_fit_needs_one_output_per_training_input():
     for X, y in ((np.zeros((0, 2)), []), (np.zeros((3, 2)), [1.0, 2.0])):
         with pytest.raises(ValueError, match="need one output per training input"):
-            fit(X, y)
-
-
-@pytest.mark.parametrize("name", ["lengthscale", "sigma_f2", "sigma_n2"])
-@pytest.mark.parametrize("value", [0.0, -1e-3, float("nan"), float("inf")])
-def test_gp_fit_rejects_a_hyperparameter_that_is_not_finite_and_positive(name, value):
-    X = np.array([[0.1, 0.2], [0.8, 0.7], [0.4, 0.9]])  # well separated
-    hyper = {"lengthscale": 0.5, "sigma_f2": 1.0, "sigma_n2": 1e-6, name: value}
-    with pytest.raises(ValueError, match=f"^{name} must be finite and positive"):
-        gp_fit(X, [1.0, 2.0, 0.5], **hyper)
+            fit_gp_grid(X, y)
 
 
 def test_expected_improvement_values():

@@ -15,6 +15,7 @@ from stlopt import (
 )
 from stlopt.task import (
     MAX_TRACE_SAMPLES,
+    TRAJECTORY_CHANNELS,
     _min_coverage,
     _pad_to_horizon,
     evaluation_trace,
@@ -296,6 +297,23 @@ def test_task_json_names_the_failing_field(edit, message):
     edit(data)
     with pytest.raises(ValueError, match=message):
         task_from_json(data)
+
+
+@pytest.mark.parametrize(
+    "formula, channel", [("F[0,15](z > 0)", "z"), ("G[0,1](x > 0 & w < 1) | v > 2", "v")]
+)
+def test_task_rejects_a_formula_channel_outside_the_trajectory(formula, channel):
+    # rejected when the task is built, not at its first scored evaluation
+    data = task_to_json(benchmark_eq2())
+    data["formula"] = formula
+    message = rf"^formula reads channel '{channel}'; a task trajectory has only \['x', 'y'\]$"
+    with pytest.raises(ValueError, match=message):
+        task_from_json(data)
+
+
+def test_trajectories_carry_the_task_channels():
+    p = centers_vector(benchmark_eq2())
+    assert build_trajectory(p, 10.0, (0.1, 0.1)).channels == TRAJECTORY_CHANNELS == ("x", "y")
 
 
 @pytest.mark.parametrize("duration, sample_rate", [(1e12, 10.0), (10.0, 1e6), (1e4, 34.0)])
