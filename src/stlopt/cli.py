@@ -74,6 +74,8 @@ def _parse_seeds(text: str) -> list[int]:
     parts = [p for p in text.split(",") if p.strip()]
     if len(parts) == 1 and "," not in text:
         count = int(parts[0])
+        if count < 1:
+            raise ValueError("--seeds: a seed count must be at least 1")
         if count > MAX_SEED_COUNT:
             raise ValueError(f"--seeds: a seed count above {MAX_SEED_COUNT} is not supported")
         return list(range(count))

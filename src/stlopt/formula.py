@@ -8,6 +8,7 @@ shared freely across concurrent evaluations.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 COMPARISONS = ("<", "<=", ">", ">=")
@@ -44,6 +45,8 @@ class Pred(Formula):
     def __post_init__(self):
         if self.comparison not in COMPARISONS:
             raise ValueError(f"comparison must be one of {COMPARISONS}")
+        if not math.isfinite(self.threshold):
+            raise ValueError(f"predicate threshold {self.threshold} is not finite")
 
     def margin(self, value: float) -> float:
         """Signed satisfaction margin: positive iff the comparison holds strictly.

@@ -9,7 +9,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import StlError
 from .jsonfields import integer, json_field, list_of, number, optional_text, text
 from .optim.driver import METHODS, RunRecord, optimize
 from .semantics import MetricConfig
@@ -17,9 +16,8 @@ from .task import (
     PARAM_NAMES,
     TRAJECTORY_CHANNELS,
     TaskSpec,
-    benchmark_eq2,
     evaluation_trace,
-    load_task_file,
+    load_task,
     objective_detail,
 )
 from .trace import CSV_BLOCK_ROWS, save_trace_csv
@@ -95,14 +93,6 @@ class ExperimentResult:
     median_ts: float | None  # over satisfying seeds only
 
 
-def load_task(name_or_path: str) -> TaskSpec:
-    if name_or_path == "eq2":
-        return benchmark_eq2()
-    if os.path.exists(name_or_path):
-        return load_task_file(name_or_path)
-    raise ValueError(f"unknown task {name_or_path!r} (built-ins: eq2)")
-
-
 def _with_default_agm_scales(metric: MetricConfig) -> MetricConfig:
     if metric.kind != "agm" or metric.agm_scales:
         return metric
@@ -164,28 +154,25 @@ def emit_results(result: ExperimentResult, out_dir: str) -> dict[str, str]:
         "trace_best": os.path.join(out_dir, "trace_best.csv"),
     }
 
-    try:
-        with open(paths["runs"], "w", encoding="utf-8") as fh:
-            names = ",".join(PARAM_NAMES)
-            fh.write(f"seed,eval,{names},robustness,satisfied,best_so_far\n")
-            row = "%d,%d," + "%r," * len(PARAM_NAMES) + "%r,%s,%r\n"
-            for s in result.per_seed:
-                for lo in range(0, len(s.records), CSV_BLOCK_ROWS):
-                    fh.write("".join([
-                        row % (s.seed, r.index, *r.params.tolist(), r.value,
-                               "true" if r.satisfied else "false", r.best_so_far)
-                        for r in s.records[lo : lo + CSV_BLOCK_ROWS]
-                    ]))
+    with open(paths["runs"], "w", encoding="utf-8") as fh:
+        names = ",".join(PARAM_NAMES)
+        fh.write(f"seed,eval,{names},robustness,satisfied,best_so_far\n")
+        row = "%d,%d," + "%r," * len(PARAM_NAMES) + "%r,%s,%r\n"
+        for s in result.per_seed:
+            for lo in range(0, len(s.records), CSV_BLOCK_ROWS):
+                fh.write("".join([
+                    row % (s.seed, r.index, *r.params.tolist(), r.value,
+                           "true" if r.satisfied else "false", r.best_so_far)
+                    for r in s.records[lo : lo + CSV_BLOCK_ROWS]
+                ]))
 
-        with open(paths["summary"], "w", encoding="utf-8") as fh:
-            json.dump(summary_dict(result), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+    with open(paths["summary"], "w", encoding="utf-8") as fh:
+        json.dump(summary_dict(result), fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
-        best_record = max(
-            (r for s in result.per_seed for r in s.records), key=lambda r: r.value
-        )
-        best_trace = evaluation_trace(result.task, best_record.params)
-        save_trace_csv(best_trace, paths["trace_best"])
-    except OSError as exc:
-        raise StlError(f"cannot write results under {out_dir}: {exc}") from exc
+    best_record = max(
+        (r for s in result.per_seed for r in s.records), key=lambda r: r.value
+    )
+    best_trace = evaluation_trace(result.task, best_record.params)
+    save_trace_csv(best_trace, paths["trace_best"])
     return paths

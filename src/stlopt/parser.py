@@ -170,8 +170,12 @@ class _Parser:
         if cmp_tok.kind != "cmp":
             raise self.error("a comparison operator (<, <=, >, >=)")
         self.advance()
+        number_tok = self.peek()
         threshold = self.number()
-        return Pred(name.text, cmp_tok.text, threshold)
+        try:
+            return Pred(name.text, cmp_tok.text, threshold)
+        except ValueError as exc:
+            raise ParseError(str(exc), number_tok.line, number_tok.column) from None
 
     def number(self) -> float:
         sign = 1.0

@@ -5,7 +5,8 @@ time by scanning the whole grid, recompute margins inline, and use Python's
 min/max directly.  They share no code with the library, so the two can
 disagree.  The ref_* functions below are the per-sample reference for all
 the library's semantics and aggregators, for the GP hyperparameter grid and
-posterior, for the eq2 trajectory builder and for the result CSV writers.
+posterior, for the eq2 trajectory builder and its held evaluation trace,
+and for the result CSV writers.
 """
 
 import math
@@ -17,7 +18,7 @@ from stlopt.exceptions import AgmDomainError
 from stlopt.formula import And, Eventually, Globally, Not, Or, Pred, Until, children
 from stlopt.optim import gp
 from stlopt.task import PARAM_NAMES, WORKSPACE_HI, WORKSPACE_LO
-from stlopt.trace import Trace, window_indices
+from stlopt.trace import GRID_TOL, Trace, window_indices
 
 EPS = 1e-9
 
@@ -435,6 +436,17 @@ def ref_build_trajectory(p, sample_rate, home):
     if n > 1:
         samples[-1] = points[3]
     return Trace(("x", "y"), 0.0, dt, samples)
+
+
+def ref_evaluation_trace(p, sample_rate, home, hold_until):
+    """ref_build_trajectory with its final pose appended one sample at a
+    time until the trace ends within GRID_TOL of hold_until; evaluation_trace
+    builds the held samples in the same array and must reproduce it bit for bit."""
+    built = ref_build_trajectory(p, sample_rate, home)
+    samples = [row for row in built.samples]
+    while (len(samples) - 1) * built.dt < hold_until - GRID_TOL:
+        samples.append(samples[-1])
+    return Trace(built.channels, 0.0, built.dt, np.array(samples))
 
 
 # Result files -------------------------------------------------------------

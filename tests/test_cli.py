@@ -87,6 +87,22 @@ def test_eval_trace_with_a_duplicate_channel_exit_2(tmp_path):
     assert err == f"stlopt: {p}: duplicate channel 'x' in header\n"
 
 
+def test_eval_trace_row_wider_than_its_header_exit_2(tmp_path):
+    p = tmp_path / "wide.csv"
+    p.write_text("time,x\n0.0,1.0,2.0\n0.1,1.0,2.0\n")
+    code, out, err = run_cli("eval", "--formula", "x > 0", "--trace", str(p),
+                             "--metric", "space", "--time", "0")
+    assert (code, out) == (2, "")
+    assert err == f"stlopt: {p}: row width does not match header\n"
+
+
+def test_eval_threshold_that_is_not_finite_exit_2(trace_csv, capsys):
+    # x > 1e999 once scored -1.0 under agm and exited 0
+    assert main(["eval", "--formula", "x > 1e999", "--trace", trace_csv,
+                 "--metric", "agm", "--time", "0"]) == 2
+    assert capsys.readouterr().err == "stlopt: 1:5: predicate threshold inf is not finite\n"
+
+
 @pytest.mark.parametrize("time", ["inf", "-inf", "nan"])
 def test_eval_non_finite_time_exit_2(trace_csv, capsys, time):
     # inf once ended in an OverflowError traceback, NaN in exit 1
@@ -319,6 +335,26 @@ def test_bench_seed_count_above_the_cap_exit_1(capsys):
     assert err.startswith("stlopt: config error: --seeds:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("count", ["0", "-1"])
+def test_bench_seed_count_below_one_exit_1(capsys, count):
+    assert main(["bench", "eq2", f"--seeds={count}"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "stlopt: config error: --seeds: a seed count must be at least 1\n"
+
+
+def test_bench_results_that_cannot_be_written_exit_1(tmp_path, capsys):
+    # runs.csv is a directory; then an --out below a regular file
+    (tmp_path / "runs.csv").mkdir()
+    (tmp_path / "file").write_text("")
+    for out_dir in (tmp_path, tmp_path / "file" / "out"):
+        code = main(["bench", "eq2", "--method", "random", "--budget", "2",
+                     "--out", str(out_dir)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("stlopt: config error: [Errno") and err.count("\n") == 1
+
+
 def _no_runs(monkeypatch):
     import stlopt.harness
 
@@ -456,3 +492,54 @@ def test_console_script_entrypoint():
     code, out, _ = run_cli("check-properties", "--samples", "80", "--seed", "42")
     assert code == 0
     assert "overall" in out
+
+
+def _optimize_task_exit_and_error(tmp_path, capsys, edit):
+    from stlopt.task import benchmark_eq2, task_to_json
+
+    task = task_to_json(benchmark_eq2())
+    edit(task)
+    task_path = tmp_path / "task.json"
+    task_path.write_text(json.dumps(task))
+    cfg = {"method": "random", "metric": {"kind": "space"}, "budget": 2, "seeds": [0],
+           "task": str(task_path)}
+    code, err = _optimize_exit_and_error(tmp_path, capsys, cfg)
+    return code, err.removeprefix(f"stlopt: config error: task file {task_path}: ")
+
+
+def _no_formula(task, regions):
+    del task["formula"]
+    task["regions"] = task["regions"][:regions]
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda t: _no_formula(t, 0), "regions: a task without a formula needs at least one region"),
+        (lambda t: t["regions"][0].update(box=[0.3, 0.3, 0.6, 0.7]), "regions: item 0: region 'A' box is degenerate"),
+        (
+            lambda t: (t["bounds"].update(duration=[1, 2]), t.update(formula="F[0,10](x > 0)")),
+            "formula horizon exceeds the longest possible trajectory",
+        ),
+        (lambda t: t.update(formula="F[0,15](x > 1e999)"), "formula: 1:13: predicate threshold inf is not finite"),
+    ],
+    ids=["no-formula-no-region", "degenerate-box", "horizon-too-long", "infinite-threshold"],
+)
+def test_optimize_task_rejected_when_it_loads_exit_1(tmp_path, capsys, edit, message):
+    code, err = _optimize_task_exit_and_error(tmp_path, capsys, edit)
+    assert code == 1
+    assert err == message + "\n"
+
+
+def test_optimize_task_without_a_formula_scores_its_one_region(tmp_path, capsys):
+    from stlopt.task import benchmark_eq2, task_to_json
+
+    task = task_to_json(benchmark_eq2())
+    _no_formula(task, 1)
+    task_path = tmp_path / "task.json"
+    task_path.write_text(json.dumps(task))
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"method": "random", "metric": {"kind": "space"}, "budget": 3,
+                               "seeds": [0], "task": str(task_path)}))
+    assert main(["optimize", "--config", str(cfg)]) == 0
+    assert json.loads(capsys.readouterr().out)["config"]["task"] == str(task_path)

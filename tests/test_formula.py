@@ -42,6 +42,12 @@ def test_pred_rejects_bad_comparison():
         Pred("x", "==", 0.0)
 
 
+@pytest.mark.parametrize("threshold", [float("inf"), float("-inf"), float("nan")])
+def test_pred_rejects_a_threshold_that_is_not_finite(threshold):
+    with pytest.raises(ValueError, match="is not finite"):
+        Pred("x", ">", threshold)
+
+
 def test_pred_margin_direction():
     assert Pred("x", ">", 0.4).margin(0.5) == pytest.approx(0.1)
     assert Pred("x", "<", 0.4).margin(0.5) == pytest.approx(-0.1)

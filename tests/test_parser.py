@@ -87,6 +87,17 @@ def test_scientific_notation_thresholds():
     assert parse_formula("x < -2.5e3").threshold == -2500.0
 
 
+@pytest.mark.parametrize(
+    "text, column",
+    [("x > 1e999", 5), ("F[0,0.1](x > 1e999 | x < 3)", 14), ("y <= -1e999", 6)],
+)
+def test_threshold_that_is_not_finite_rejected_at_the_number(text, column):
+    with pytest.raises(ParseError) as exc:
+        parse_formula(text)
+    assert (exc.value.line, exc.value.column) == (1, column)
+    assert exc.value.message.startswith("predicate threshold") and "is not finite" in exc.value.message
+
+
 def test_whitespace_insensitive():
     assert parse_formula(" G[0, 1] ( x>0 ) ") == parse_formula("G[0,1](x > 0)")
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from stlopt import (
+    Interval,
     MetricConfig,
     benchmark_eq2,
     build_trajectory,
@@ -16,15 +17,16 @@ from stlopt import (
 from stlopt.task import (
     MAX_TRACE_SAMPLES,
     TRAJECTORY_CHANNELS,
+    Region,
+    TaskSpec,
     _min_coverage,
-    _pad_to_horizon,
     evaluation_trace,
-    load_task_file,
+    load_task,
     task_from_json,
     task_to_json,
 )
 
-from oracle import ref_build_trajectory
+from oracle import ref_build_trajectory, ref_evaluation_trace
 
 
 def vector(durations, waypoints):
@@ -131,15 +133,26 @@ def test_build_and_reference_reject_the_same_input(
 
 
 def test_evaluation_trace_pads_the_reference_build():
-    spec = benchmark_eq2()
-    rng = np.random.default_rng(7)
-    for _ in range(100):
-        p = spec.bounds.lower + rng.uniform(size=9) * spec.bounds.width
-        got = evaluation_trace(spec, p)
-        built = ref_build_trajectory(p, spec.sample_rate, spec.home)
-        ref = _pad_to_horizon(built, horizon(spec.formula))
-        assert got.dt == ref.dt
-        assert np.array_equal(got.samples, ref.samples)
+    # random vectors (most need no padding), short durations (all need it),
+    # totals under half a sample period (one sample at home, held) and
+    # off-grid sample rates
+    for sample_rate in (10.0, 3.0, 7.3):
+        data = task_to_json(benchmark_eq2())
+        data["sample_rate"] = sample_rate
+        spec = task_from_json(data)
+        rng = np.random.default_rng(7)
+        vectors = [spec.bounds.sample(rng) for _ in range(100)]
+        for _ in range(30):
+            p = spec.bounds.sample(rng)
+            p[:3] = rng.uniform(1.0, 1.2, size=3)
+            vectors.append(p)
+        vectors.append(vector((0.01, 0.01, 0.02), ((0.2, 0.9), (0.8, 0.8), (0.7, 0.1))))
+        for p in vectors:
+            got = evaluation_trace(spec, p)
+            ref = ref_evaluation_trace(p, sample_rate, spec.home, spec.formula_horizon)
+            assert got.dt == ref.dt
+            assert np.array_equal(got.samples, ref.samples)
+            assert got.end_time >= spec.formula_horizon - 1e-9
 
 
 def test_continuity_and_reset(rng):
@@ -247,15 +260,68 @@ def test_task_json_roundtrip(tmp_path):
     spec = benchmark_eq2()
     data = task_to_json(spec)
     again = task_from_json(data)
-    assert again.formula == spec.formula
-    assert again.home == spec.home
-    assert again.sample_rate == spec.sample_rate
-    np.testing.assert_allclose(again.bounds.lower, spec.bounds.lower)
+    assert again == spec
+    np.testing.assert_array_equal(again.bounds.lower, spec.bounds.lower)
+    np.testing.assert_array_equal(again.bounds.upper, spec.bounds.upper)
 
     path = tmp_path / "task.json"
     path.write_text(json.dumps(data))
-    loaded = load_task_file(str(path))
-    assert loaded.formula == spec.formula
+    assert load_task(str(path)) == load_task("eq2") == spec
+
+
+def test_task_spec_holds_the_document_fields():
+    spec = benchmark_eq2()
+    assert (spec.duration, spec.workspace) == ((1.0, 10.0), (0.0, 1.0))
+    np.testing.assert_array_equal(spec.bounds.lower, [1.0] * 3 + [0.0] * 6)
+    np.testing.assert_array_equal(spec.bounds.upper, [10.0] * 3 + [1.0] * 6)
+    built = TaskSpec(spec.formula, spec.regions, spec.home, (2.0, 5.0), (0.25, 0.75), 4.0)
+    assert task_from_json(task_to_json(built)) == built
+    np.testing.assert_array_equal(built.bounds.lower, [2.0] * 3 + [0.25] * 6)
+    np.testing.assert_array_equal(built.bounds.upper, [5.0] * 3 + [0.75] * 6)
+
+
+def test_region_formulas_are_the_parsed_region_text():
+    data = task_to_json(benchmark_eq2())
+    text = data.pop("formula")
+    assert task_from_json(data).formula == parse_formula(text) == benchmark_eq2().formula
+
+
+def test_task_without_a_formula_and_one_region_scores_that_region():
+    data = task_to_json(benchmark_eq2())
+    del data["formula"]
+    data["regions"] = data["regions"][:1]
+    spec = task_from_json(data)
+    assert spec.formula == parse_formula("F[3,4](x > 0.2 & x < 0.3 & y > 0.6 & y < 0.7)")
+
+
+def test_task_without_a_formula_keeps_an_off_grid_window_exactly():
+    data = task_to_json(benchmark_eq2())
+    data["formula"] = None
+    data["regions"][0]["window"] = [3.1234567, 4]
+    spec = task_from_json(data)
+    assert spec.formula.args[0].interval == Interval(3.1234567, 4.0)
+    assert spec.regions[0].window == Interval(3.1234567, 4.0)
+
+
+def test_task_without_a_formula_needs_a_region():
+    data = task_to_json(benchmark_eq2())
+    del data["formula"]
+    data["regions"] = []
+    with pytest.raises(ValueError, match=r"^regions: a task without a formula needs at least one region$"):
+        task_from_json(data)
+
+
+def test_region_rejects_a_degenerate_box():
+    with pytest.raises(ValueError, match=r"^region 'A' box is degenerate$"):
+        Region("A", 0.3, 0.3, 0.6, 0.7, Interval(3.0, 4.0))
+
+
+def test_task_rejects_a_formula_horizon_beyond_the_longest_trajectory():
+    data = task_to_json(benchmark_eq2())
+    data["bounds"]["duration"] = [1, 2]
+    data["formula"] = "F[0,10](x > 0)"
+    with pytest.raises(ValueError, match=r"^formula horizon exceeds the longest possible trajectory$"):
+        task_from_json(data)
 
 
 def test_task_json_formula_override():
