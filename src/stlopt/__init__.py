@@ -42,10 +42,7 @@ from .aggregators import (
     softmin_lse,
 )
 from .optim import (
-    BayesOpt,
     Bounds,
-    CmaEs,
-    RandomSearch,
     RunRecord,
     expected_improvement,
     gp_predict,

@@ -3,7 +3,7 @@ from .cmaes import CmaEs
 from .gp import GpModel, expected_improvement, fit_gp_grid, gp_predict
 from .bayes import BayesOpt
 from .random_search import RandomSearch
-from .driver import RunRecord, make_optimizer, optimize
+from .driver import RunRecord, optimize
 
 __all__ = [
     "BayesOpt",
@@ -15,6 +15,5 @@ __all__ = [
     "expected_improvement",
     "fit_gp_grid",
     "gp_predict",
-    "make_optimizer",
     "optimize",
 ]

@@ -13,14 +13,14 @@ the seed:
   over 2048 uniform probes plus 64 probes within +-1% box width of the
   incumbent, scored by a GP fitted to the whole history when this arm runs.
 
-No GP outlives the ask that fitted it.
+The search runs in the unit cube; the caller maps it to its box.  No GP
+outlives the ask that fitted it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .bounds import Bounds
 from .gp import expected_improvement, fit_gp_grid, gp_mean, gp_predict
 
 INIT_DESIGN = 10
@@ -34,19 +34,19 @@ STALL_LIMIT = 8
 
 
 class BayesOpt:
-    def __init__(self, bounds: Bounds, seed: int = 0):
-        self.bounds = bounds
+    def __init__(self, n: int, seed: int = 0):
+        self.n = n
         self.rng = np.random.default_rng(seed)
         self._design = self._stratified_design(INIT_DESIGN)
         self._asked = 0
         self._stall = 0
-        self.x: list[np.ndarray] = []  # unit-box history
+        self.x: list[np.ndarray] = []
         self.y: list[float] = []
 
     def _stratified_design(self, m: int) -> np.ndarray:
         # each coordinate visits every stratum exactly once, in shuffled order
-        design = np.empty((m, self.bounds.n))
-        for j in range(self.bounds.n):
+        design = np.empty((m, self.n))
+        for j in range(self.n):
             strata = self.rng.permutation(m)
             design[:, j] = (strata + self.rng.uniform(size=m)) / m
         return design
@@ -58,10 +58,10 @@ class BayesOpt:
         gp = fit_gp_grid(np.array(self.x), np.array(self.y))
         incumbent = self._incumbent()
         local = incumbent + self.rng.uniform(
-            -LOCAL_FRAC, LOCAL_FRAC, size=(N_LOCAL, self.bounds.n)
+            -LOCAL_FRAC, LOCAL_FRAC, size=(N_LOCAL, self.n)
         )
         candidates = np.vstack(
-            [self.rng.uniform(size=(N_PROBES, self.bounds.n)), np.clip(local, 0.0, 1.0)]
+            [self.rng.uniform(size=(N_PROBES, self.n)), np.clip(local, 0.0, 1.0)]
         )
         mean, var = gp_predict(gp, candidates)
         best = max(self.y)
@@ -80,7 +80,7 @@ class BayesOpt:
         clouds = [
             np.clip(
                 incumbent
-                + self.rng.uniform(-r, r, size=(EXPLOIT_PROBES, self.bounds.n)),
+                + self.rng.uniform(-r, r, size=(EXPLOIT_PROBES, self.n)),
                 0.0,
                 1.0,
             )
@@ -89,31 +89,22 @@ class BayesOpt:
         candidates = np.vstack(clouds)
         return candidates[int(np.argmax(gp_mean(local_gp, candidates)))]
 
-    def ask(self) -> list[np.ndarray]:
+    def ask(self) -> np.ndarray:
         if self._asked < len(self._design):
             z = self._design[self._asked]
-            self._asked += 1
-            return [self.bounds.from_unit(z)]
-        self._asked += 1
-        if self._stall >= STALL_LIMIT:
+        elif self._stall >= STALL_LIMIT:
             self._stall = 0
             z = self._explore()
         else:
             z = self._exploit()
-        return [self.bounds.from_unit(z)]
+        self._asked += 1
+        return z[None, :]
 
-    def tell(self, points, values) -> None:
-        if len(points) != len(values):
-            raise ValueError(f"got {len(points)} points but {len(values)} values")
-        for p, v in zip(points, values):
-            v = float(v)
-            if not np.isfinite(v):
-                raise ValueError("objective values must be finite")
-            if not self.bounds.contains(p, tol=1e-12):
-                raise ValueError(f"point outside bounds: {np.asarray(p).tolist()}")
+    def tell(self, units, values) -> None:
+        for z, v in zip(units, values):
             if self.y and v <= max(self.y):
                 self._stall += 1
             else:
                 self._stall = 0
-            self.x.append(self.bounds.to_unit(p))
+            self.x.append(z)
             self.y.append(v)

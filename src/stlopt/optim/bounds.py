@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -11,6 +11,7 @@ import numpy as np
 class Bounds:
     lower: np.ndarray
     upper: np.ndarray
+    width: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         lo = np.ascontiguousarray(self.lower, dtype=float)
@@ -19,18 +20,14 @@ class Bounds:
             raise ValueError("bounds must be two equal-length 1-D arrays")
         if not np.all(hi > lo):
             raise ValueError("every upper bound must exceed its lower bound")
-        lo.setflags(write=False)
-        hi.setflags(write=False)
-        object.__setattr__(self, "lower", lo)
-        object.__setattr__(self, "upper", hi)
+        width = hi - lo
+        for name, arr in (("lower", lo), ("upper", hi), ("width", width)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @property
     def n(self) -> int:
         return self.lower.size
-
-    @property
-    def width(self) -> np.ndarray:
-        return self.upper - self.lower
 
     def contains(self, x, tol: float = 0.0) -> bool:
         x = np.asarray(x, dtype=float)
@@ -41,6 +38,3 @@ class Bounds:
 
     def from_unit(self, z) -> np.ndarray:
         return self.lower + np.asarray(z, dtype=float) * self.width
-
-    def sample(self, rng: np.random.Generator) -> np.ndarray:
-        return self.from_unit(rng.uniform(size=self.n))

@@ -1,10 +1,9 @@
-"""CMA-ES over a box, maximization convention.
+"""CMA-ES over the unit cube, maximization convention.
 
 Standard (mu/mu_w, lambda) covariance matrix adaptation with cumulative
-step-size control and rank-one plus rank-mu updates.  The strategy runs in
-the unit box internally; candidates are mapped to the caller's bounds on the
-way out.  All randomness flows from one explicitly seeded PCG64 generator,
-so runs are bit-reproducible across platforms.
+step-size control and rank-one plus rank-mu updates.  The caller maps the
+cube to its box.  All randomness flows from one explicitly seeded PCG64
+generator, so runs are bit-reproducible across platforms.
 """
 
 from __future__ import annotations
@@ -13,16 +12,12 @@ import math
 
 import numpy as np
 
-from .bounds import Bounds
-
 _RESAMPLE_LIMIT = 100
 _EIG_FLOOR = 1e-12
 
 
 class CmaEs:
-    def __init__(self, bounds: Bounds, seed: int = 0):
-        n = bounds.n
-        self.bounds = bounds
+    def __init__(self, n: int, seed: int = 0):
         self.lam = 4 + int(3 * math.log(n))
         self.mu = self.lam // 2
         raw = np.log((self.lam + 1) / 2) - np.log(np.arange(1, self.mu + 1))
@@ -39,10 +34,10 @@ class CmaEs:
         self.damps = 1 + 2 * max(0.0, math.sqrt((self.mueff - 1) / (n + 1)) - 1) + self.cs
         self.chi_n = math.sqrt(n) * (1 - 1 / (4 * n) + 1 / (21 * n * n))
 
-        # dynamic state, all in unit-box coordinates
+        # dynamic state, all in unit-cube coordinates
         self.n = n
         self.mean = np.full(n, 0.5)
-        self.sigma = 0.3  # initial step size, in unit-box coordinates
+        self.sigma = 0.3  # initial step size
         self.cov = np.eye(n)
         self.p_sigma = np.zeros(n)
         self.p_c = np.zeros(n)
@@ -59,10 +54,10 @@ class CmaEs:
         self._scales = np.sqrt(eigvals)
         self._inv_sqrt = (eigvecs / self._scales) @ eigvecs.T
 
-    def ask(self) -> list[np.ndarray]:
-        """Sample lambda candidates; out-of-box draws are retried then clamped."""
-        out = []
-        for _ in range(self.lam):
+    def ask(self) -> np.ndarray:
+        """Sample lambda candidates; out-of-cube draws are retried then clamped."""
+        out = np.empty((self.lam, self.n))
+        for i in range(self.lam):
             for _ in range(_RESAMPLE_LIMIT):
                 z = self.rng.standard_normal(self.n)
                 u = self.mean + self.sigma * (self._basis @ (self._scales * z))
@@ -70,26 +65,15 @@ class CmaEs:
                     break
             else:
                 u = np.clip(u, 0.0, 1.0)
-            out.append(self.bounds.from_unit(u))
+            out[i] = u
         return out
 
-    def tell(self, points, values) -> None:
-        if len(points) != len(values):
-            raise ValueError(
-                f"got {len(points)} points but {len(values)} values"
-            )
-        if len(points) == 0:
-            return
-        values = np.asarray(values, dtype=float)
-        if not np.all(np.isfinite(values)):
-            raise ValueError("objective values must be finite")
-
-        us = np.array([self.bounds.to_unit(p) for p in points])
-        order = np.argsort(-values, kind="stable")
-        us = us[order]
+    def tell(self, units, values) -> None:
+        order = np.argsort(-np.asarray(values, dtype=float), kind="stable")
+        us = units[order]
 
         # a trailing partial generation may carry fewer points than lambda
-        mu = min(self.mu, len(points))
+        mu = min(self.mu, len(units))
         w = self.weights[:mu]
         w = w / w.sum()
         mueff = 1.0 / np.sum(w**2)

@@ -12,7 +12,7 @@ from .bounds import Bounds
 from .cmaes import CmaEs
 from .random_search import RandomSearch
 
-METHODS = ("cmaes", "bo", "random")
+METHODS = {"cmaes": CmaEs, "bo": BayesOpt, "random": RandomSearch}
 
 
 @dataclass
@@ -26,16 +26,6 @@ class RunRecord:
     best_so_far: float = float("-inf")
 
 
-def make_optimizer(method: str, bounds: Bounds, seed: int):
-    if method == "cmaes":
-        return CmaEs(bounds, seed=seed)
-    if method == "bo":
-        return BayesOpt(bounds, seed=seed)
-    if method == "random":
-        return RandomSearch(bounds, seed=seed)
-    raise ValueError(f"method must be one of {METHODS}, got {method!r}")
-
-
 def optimize(
     objective,
     bounds: Bounds,
@@ -45,26 +35,33 @@ def optimize(
 ) -> list[RunRecord]:
     """Run exactly `budget` objective evaluations and return the history.
 
-    A trailing partial CMA-ES generation is still evaluated and told, so the
-    budget is honored exactly.  Larger objective values are better.
+    Every optimizer searches the unit cube: each asked block is mapped to
+    `bounds` in one step, and a trailing partial block (such as a CMA-ES
+    generation cut by the budget) is still evaluated and told, so the budget
+    is honored exactly.  Larger objective values are better.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
-    state = make_optimizer(method, bounds, seed)
+    if method not in METHODS:
+        raise ValueError(f"method must be one of {tuple(METHODS)}, got {method!r}")
+    state = METHODS[method](bounds.n, seed=seed)
     records: list[RunRecord] = []
     best = float("-inf")
     while len(records) < budget:
-        points = state.ask()[: budget - len(records)]
+        points = bounds.from_unit(state.ask()[: budget - len(records)])
         values = []
         for p in points:
             v = float(objective(p))
             if not np.isfinite(v):
                 raise EvaluationError(
-                    f"objective returned non-finite value {v} at parameters "
-                    f"{np.asarray(p).tolist()}"
+                    f"objective returned non-finite value {v} at parameters {p.tolist()}"
                 )
             best = max(best, v)
             values.append(v)
-            records.append(RunRecord(len(records) + 1, np.asarray(p, float), v, None, best))
-        state.tell(points, values)
+            records.append(RunRecord(len(records) + 1, p, v, None, best))
+        # tell the cube coordinates of the points actually evaluated:
+        # to_unit(from_unit(z)) can differ from the asked z in the last bit,
+        # and the recorded result digests come from learning these; telling
+        # z would move every later ask
+        state.tell(bounds.to_unit(points), values)
     return records

@@ -4,20 +4,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bounds import Bounds
+BLOCK = 10  # draws per ask; C-order fill makes a block ten size-n draws
 
 
 class RandomSearch:
-    def __init__(self, bounds: Bounds, seed: int = 0):
-        self.bounds = bounds
+    def __init__(self, n: int, seed: int = 0):
+        self.n = n
         self.rng = np.random.default_rng(seed)
 
-    def ask(self) -> list[np.ndarray]:
-        return [self.bounds.sample(self.rng)]
+    def ask(self) -> np.ndarray:
+        return self.rng.uniform(size=(BLOCK, self.n))
 
-    def tell(self, points, values) -> None:
-        if len(points) != len(values):
-            raise ValueError(f"got {len(points)} points but {len(values)} values")
-        for v in values:
-            if not np.isfinite(v):
-                raise ValueError("objective values must be finite")
+    def tell(self, units, values) -> None:
+        pass

@@ -11,7 +11,7 @@ import pytest
 from stlopt import MetricConfig
 from stlopt.cli import main
 from stlopt.harness import ExperimentConfig, emit_results, load_task, run_experiment
-from stlopt.task import evaluation_trace
+from stlopt.task import TRAJECTORY_CHANNELS, evaluation_trace, objective_detail
 from stlopt.trace import GRID_TOL
 from oracle import brute_sat
 
@@ -126,6 +126,26 @@ def test_constraint_task_satisfaction_is_the_brute_force_oracle(monkeypatch, met
     assert scored
     for r in scored:
         assert r.satisfied == brute_sat(task.formula, evaluation_trace(task, r.params), 0.0)
+
+
+# region centres reached at 3.5, 9 and 14 s, away from the obstacle, B before C
+SATISFYING = (3.5, 5.5, 5.0, 0.25, 0.65, 0.6, 0.6, 0.75, 0.2)
+# the same path with waypoints 2 and 3 swapped: C is reached before B
+B_AFTER_C = (3.5, 5.5, 5.0, 0.25, 0.65, 0.75, 0.2, 0.6, 0.6)
+
+
+@pytest.mark.parametrize("p, sat", [(SATISFYING, True), (B_AFTER_C, False)])
+def test_constraint_task_oracle_on_hand_built_vectors(monkeypatch, p, sat):
+    monkeypatch.chdir(TESTS_DIR)
+    task = load_task(TASK)
+    oracle = brute_sat(task.formula, evaluation_trace(task, p), 0.0)
+    assert oracle is sat
+    for kind in ("space", "lse", "smooth", "agm", "new"):
+        scales = {ch: 1.0 for ch in TRAJECTORY_CHANNELS} if kind == "agm" else None
+        value, flag, _ = objective_detail(task, MetricConfig(kind, agm_scales=scales), p)
+        assert flag is oracle, kind
+        if kind in ("space", "agm", "new"):  # sound semantics: the sign is the verdict
+            assert (value > 0) is sat, (kind, value)
 
 
 def test_constraint_task_with_avg_exits_2(tmp_path, capsys):

@@ -16,6 +16,7 @@ from stlopt.optim import (
     optimize,
 )
 from stlopt.optim import gp
+from stlopt.optim.driver import METHODS
 from stlopt.optim.gp import fit_gp_grid
 from stlopt.task import benchmark_eq2, objective_detail
 from oracle import (
@@ -31,6 +32,10 @@ def unit_box(n):
     return Bounds(np.zeros(n), np.ones(n))
 
 
+def in_cube(units):
+    return bool(np.all(units >= 0.0) and np.all(units <= 1.0))
+
+
 def test_bounds_validation():
     with pytest.raises(ValueError):
         Bounds(np.array([0.0, 1.0]), np.array([1.0, 1.0]))
@@ -43,66 +48,47 @@ def test_bounds_helpers():
     assert b.n == 2
     assert b.contains([0.0, 5.0]) and not b.contains([0.0, 11.0])
     np.testing.assert_allclose(b.from_unit(b.to_unit([0.5, 2.5])), [0.5, 2.5])
+    assert np.array_equal(b.width, [2.0, 10.0]) and not b.width.flags.writeable
 
 
 def test_cmaes_default_popsize():
-    assert CmaEs(unit_box(9)).lam == 10
-    assert CmaEs(unit_box(1)).lam == 4
+    assert CmaEs(9).lam == 10
+    assert CmaEs(1).lam == 4
 
 
 def test_cmaes_ask_count_and_feasibility():
-    b = Bounds(np.array([-2.0, 0.0, 5.0]), np.array([2.0, 1.0, 6.0]))
-    es = CmaEs(b, seed=3)
-    points = es.ask()
-    assert len(points) == es.lam
-    for p in points:
-        assert b.contains(p)
+    es = CmaEs(3, seed=3)
+    units = es.ask()
+    assert units.shape == (es.lam, 3) and in_cube(units)
 
 
 def test_cmaes_clamps_after_resampling_limit():
-    # a step size far wider than the box forces the clamp fallback
-    es = CmaEs(unit_box(4), seed=0)
+    # a step size far wider than the cube forces the clamp fallback
+    es = CmaEs(4, seed=0)
     es.sigma = 100.0
-    for p in es.ask():
-        assert es.bounds.contains(p)
-
-
-def test_bayes_rejects_out_of_bounds_history():
-    bo = BayesOpt(unit_box(2), seed=0)
-    with pytest.raises(ValueError, match="outside bounds"):
-        bo.tell([np.array([2.0, 0.5])], [1.0])
-
-
-def test_cmaes_tell_validates():
-    es = CmaEs(unit_box(2), seed=0)
-    pts = es.ask()
-    with pytest.raises(ValueError, match="points but"):
-        es.tell(pts, [1.0])
-    with pytest.raises(ValueError, match="finite"):
-        es.tell(pts, [float("nan")] * len(pts))
+    units = es.ask()
+    assert in_cube(units) and np.any((units == 0.0) | (units == 1.0))
 
 
 def test_cmaes_moves_toward_sphere_optimum():
-    b = Bounds(np.full(5, -5.0), np.full(5, 5.0))
-    target = np.full(5, 1.5)
-    es = CmaEs(b, seed=1)
-    start = np.linalg.norm(b.from_unit(es.mean) - target)
+    target = np.full(5, 0.65)
+    es = CmaEs(5, seed=1)
+    start = np.linalg.norm(es.mean - target)
     for _ in range(50):
-        pts = es.ask()
-        es.tell(pts, [-float(np.sum((p - target) ** 2)) for p in pts])
-    end = np.linalg.norm(b.from_unit(es.mean) - target)
+        units = es.ask()
+        es.tell(units, [-float(np.sum((u - target) ** 2)) for u in units])
+    end = np.linalg.norm(es.mean - target)
     assert end < start / 10
 
 
 def test_cmaes_step_size_shrinks_on_sphere():
     ratios = []
     for seed in range(5):
-        b = Bounds(np.full(5, -5.0), np.full(5, 5.0))
-        es = CmaEs(b, seed=seed)
+        es = CmaEs(5, seed=seed)
         sigma_gen1 = None
         for gen in range(50):
-            pts = es.ask()
-            es.tell(pts, [-float(np.sum(p**2)) for p in pts])
+            units = es.ask()
+            es.tell(units, [-float(np.sum((u - 0.5) ** 2)) for u in units])
             if gen == 0:
                 sigma_gen1 = es.sigma
         ratios.append(sigma_gen1 / es.sigma)
@@ -110,9 +96,9 @@ def test_cmaes_step_size_shrinks_on_sphere():
 
 
 def test_cmaes_partial_generation_tell():
-    es = CmaEs(unit_box(4), seed=5)
-    pts = es.ask()[:3]  # fewer than lambda, as in a trailing partial generation
-    es.tell(pts, [1.0, 0.5, 0.2])
+    es = CmaEs(4, seed=5)
+    units = es.ask()[:3]  # fewer than lambda, as in a trailing partial generation
+    es.tell(units, [1.0, 0.5, 0.2])
     assert np.all(np.isfinite(es.mean)) and np.isfinite(es.sigma)
 
 
@@ -283,31 +269,23 @@ def test_expected_improvement_values():
 
 
 def test_bayes_design_reproducible_and_feasible():
-    b = Bounds(np.array([-1.0, 2.0]), np.array([1.0, 4.0]))
-    first = BayesOpt(b, seed=9)
-    second = BayesOpt(b, seed=9)
+    first = BayesOpt(2, seed=9)
+    second = BayesOpt(2, seed=9)
     for _ in range(10):
-        p1, p2 = first.ask()[0], second.ask()[0]
-        assert (p1 == p2).all()
-        assert b.contains(p1)
-        first.tell([p1], [0.0])
-        second.tell([p2], [0.0])
+        z1, z2 = first.ask(), second.ask()
+        assert np.array_equal(z1, z2)
+        assert z1.shape == (1, 2) and in_cube(z1)
+        first.tell(z1, [0.0])
+        second.tell(z2, [0.0])
 
 
 def test_bayes_acquisition_stays_in_bounds():
-    b = Bounds(np.array([0.0, 0.0]), np.array([1.0, 2.0]))
-    bo = BayesOpt(b, seed=2)
-    rng = np.random.default_rng(0)
+    # past the ten-point design: model-guided asks, both arms
+    bo = BayesOpt(2, seed=2)
     for i in range(13):
-        p = bo.ask()[0]
-        assert b.contains(p)
-        bo.tell([p], [float(-np.sum((p - 0.4) ** 2))])
-
-
-def test_bayes_tell_validates():
-    bo = BayesOpt(unit_box(2), seed=0)
-    with pytest.raises(ValueError, match="points but"):
-        bo.tell([np.zeros(2)], [])
+        z = bo.ask()
+        assert z.shape == (1, 2) and in_cube(z)
+        bo.tell(z, [float(-np.sum((z[0] - 0.4) ** 2))])
 
 
 def test_bayes_fits_one_gp_per_model_guided_ask(monkeypatch):
@@ -325,7 +303,7 @@ def test_bayes_fits_one_gp_per_model_guided_ask(monkeypatch):
     assert len(records) == 30
     assert fits == list(range(bayes.INIT_DESIGN, 30))
 
-    bo = BayesOpt(unit_box(2), seed=0)
+    bo = BayesOpt(2, seed=0)
     for _ in range(bayes.INIT_DESIGN + 2):
         bo.tell(bo.ask(), [0.0])
     assert not any(isinstance(v, GpModel) for v in vars(bo).values())
@@ -430,11 +408,50 @@ def test_gp_posterior_matches_the_scipy_cholesky_reference(m):
 
 
 def test_random_search_deterministic():
-    b = unit_box(3)
-    a = RandomSearch(b, seed=5)
-    c = RandomSearch(b, seed=5)
+    a = RandomSearch(3, seed=5)
+    c = RandomSearch(3, seed=5)
     for _ in range(5):
-        assert (a.ask()[0] == c.ask()[0]).all()
+        assert np.array_equal(a.ask(), c.ask())
+
+
+def test_random_search_block_is_one_at_a_time_draws():
+    search, rng = RandomSearch(4, seed=5), np.random.default_rng(5)
+    blocks = np.vstack([search.ask() for _ in range(3)])
+    assert np.array_equal(blocks, [rng.uniform(size=4) for _ in range(len(blocks))])
+
+
+@pytest.mark.parametrize("method", sorted(METHODS))
+def test_optimize_maps_each_unit_block_and_tells_its_evaluated_points(monkeypatch, method):
+    # every ask is a 2-D block of cube coordinates with n columns; the driver
+    # maps it to a box that is not the cube, evaluates those points and
+    # tells their cube coordinates
+    cls, n = METHODS[method], 3
+    b = Bounds(np.array([-2.0, 0.0, 5.0]), np.array([2.0, 1.0, 6.0]))
+    asked, told, evaluated = [], [], []
+    ask, tell = cls.ask, cls.tell
+
+    def recording_ask(self):
+        asked.append(ask(self))
+        return asked[-1]
+
+    def recording_tell(self, units, values):
+        told.append(units)
+        tell(self, units, values)
+
+    def objective(p):
+        evaluated.append(p)
+        return -float(np.sum((b.to_unit(p) - 0.4) ** 2))
+
+    monkeypatch.setattr(cls, "ask", recording_ask)
+    monkeypatch.setattr(cls, "tell", recording_tell)
+    records = optimize(objective, b, 25, method, seed=0)
+    assert len(records) == 25 and len(asked) == len(told)
+    for units, evaluated_units in zip(asked, told):
+        assert units.ndim == 2 and units.shape[1] == n and in_cube(units)
+        m = len(evaluated_units)
+        assert np.array_equal(evaluated_units, b.to_unit(b.from_unit(units[:m])))
+    assert np.array_equal(np.vstack(told), b.to_unit(np.array(evaluated)))
+    assert all(b.contains(r.params) for r in records)
 
 
 def test_optimize_history_exact_budget():

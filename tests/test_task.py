@@ -141,9 +141,9 @@ def test_evaluation_trace_pads_the_reference_build():
         data["sample_rate"] = sample_rate
         spec = task_from_json(data)
         rng = np.random.default_rng(7)
-        vectors = [spec.bounds.sample(rng) for _ in range(100)]
+        vectors = [spec.bounds.from_unit(rng.uniform(size=9)) for _ in range(100)]
         for _ in range(30):
-            p = spec.bounds.sample(rng)
+            p = spec.bounds.from_unit(rng.uniform(size=9))
             p[:3] = rng.uniform(1.0, 1.2, size=3)
             vectors.append(p)
         vectors.append(vector((0.01, 0.01, 0.02), ((0.2, 0.9), (0.8, 0.8), (0.7, 0.1))))

@@ -71,7 +71,7 @@ def test_eq2_evaluation_traces():
     near = np.array([3.5, 5.5, 4.5, 0.25, 0.65, 0.6, 0.6, 0.75, 0.2])
     verdicts = []
     for i in range(60):
-        p = task.bounds.sample(rng)
+        p = task.bounds.from_unit(rng.uniform(size=9))
         if i % 2:
             spread = np.array([0.5] * 3 + [0.03] * 6)
             p = np.clip(near + spread * rng.standard_normal(9), task.bounds.lower, task.bounds.upper)
