@@ -18,10 +18,18 @@ from stlopt.optim.driver import METHODS
 from stlopt.semantics import MetricConfig
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--budget", type=int, default=60)
-    ap.add_argument("--seeds", type=int, default=5, help="runs per configuration (seeds 0..n-1)")
+    ap.add_argument("--budget", type=positive_int, default=60)
+    ap.add_argument("--seeds", type=positive_int, default=5,
+                    help="runs per configuration (seeds 0..n-1)")
     ap.add_argument("--methods", nargs="+", default=sorted(METHODS), choices=sorted(METHODS))
     ap.add_argument("--metrics", nargs="+", default=list(BENCH_METRICS), choices=BENCH_METRICS)
     ap.add_argument("--k", type=float, default=10.0)

@@ -9,7 +9,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .jsonfields import integer, json_field, list_of, number, optional_text, text
+from .formula import channels
+from .jsonfields import integer, json_field, known_fields, list_of, number, optional_text, text
 from .optim.driver import METHODS, RunRecord, optimize
 from .semantics import MetricConfig
 from .task import (
@@ -41,12 +42,19 @@ class ExperimentConfig:
             raise ValueError("budget must be at least 1")
         if not self.seeds:
             raise ValueError("seeds must be non-empty")
-        negative = [s for s in self.seeds if s < 0]
-        if negative:
-            raise ValueError(f"seeds: {negative[0]} is negative")
+        seen: set[int] = set()
+        for s in self.seeds:
+            if s < 0:
+                raise ValueError(f"seeds: {s} is negative")
+            if s in seen:
+                raise ValueError(f"seeds: {s} appears twice")
+            seen.add(s)
 
     @classmethod
     def from_json(cls, data: dict) -> "ExperimentConfig":
+        known_fields(data, ("method", "metric", "budget", "seeds", "task", "output_dir"))
+        known_fields(json_field(data, "metric", default=None), ("kind", "k", "nu", "agm_scales"),
+                     "metric")
         metric = MetricConfig(
             kind=json_field(data, "metric.kind", text),
             k=json_field(data, "metric.k", number, 10.0),
@@ -101,24 +109,33 @@ def _with_default_agm_scales(metric: MetricConfig) -> MetricConfig:
     return MetricConfig(metric.kind, metric.k, metric.nu, scales)
 
 
-def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
+def run_experiment(cfg: ExperimentConfig, on_record=None) -> ExperimentResult:
     """One optimize() run per seed; the satisfied flag always comes from the
-    Boolean oracle so SR/TS are comparable across metrics."""
+    Boolean oracle so SR/TS are comparable across metrics.  `on_record`, if
+    given, is called with each record once its flag is set, in evaluation
+    order, seed after seed."""
     task = load_task(cfg.task)
     metric = _with_default_agm_scales(cfg.metric)
+    if metric.kind == "agm":
+        missing = sorted(channels(task.formula) - set(metric.agm_scales))
+        if missing:
+            raise ValueError(f"metric.agm_scales: missing agm scale for channel {missing[0]!r}")
+    sat = False  # the oracle flag of the point just evaluated
+
+    def scored(p):
+        nonlocal sat
+        value, sat, _ = objective_detail(task, metric, p)
+        return value
+
+    def observed(record):
+        record.satisfied = sat
+        if on_record is not None:
+            on_record(record)
+
     per_seed = []
     for seed in cfg.seeds:
-        flags: list[bool] = []
-
-        def wrapped(p):
-            value, sat, _ = objective_detail(task, metric, p)
-            flags.append(sat)
-            return value
-
-        records = optimize(wrapped, task.bounds, cfg.budget, cfg.method, seed)
-        for record, sat in zip(records, flags):
-            record.satisfied = sat
-        n_sat = sum(flags)
+        records = optimize(scored, task.bounds, cfg.budget, cfg.method, seed, observed)
+        n_sat = sum(r.satisfied for r in records)
         ts = next((r.index for r in records if r.satisfied), None)
         per_seed.append(SeedResult(seed, records, 100.0 * n_sat / cfg.budget, ts))
     mean_sr = float(np.mean([s.sr for s in per_seed]))

@@ -1,8 +1,9 @@
 """Typed reads from parsed config and task JSON.
 
 Every failure is a ValueError that names the field path, for example
-``missing config field: bounds`` or ``metric.k: expected a finite number``,
-so the CLI reports it on one line with exit code 1.
+``missing config field: bounds``, ``unknown config field: budjet`` or
+``metric.k: expected a finite number``, so the CLI reports it on one line
+with exit code 1.
 """
 
 from __future__ import annotations
@@ -32,6 +33,16 @@ def json_field(data, path: str, convert=None, default=_REQUIRED):
         return convert(value)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: {exc}") from None
+
+
+def known_fields(data, names, path: str = "") -> None:
+    """Reject a key of the JSON object `data`, found at the dotted `path`,
+    that is not one of `names`: a misspelt optional field would otherwise
+    fall back to its default unnoticed."""
+    if isinstance(data, dict):
+        unknown = next((key for key in data if key not in names), None)
+        if unknown is not None:
+            raise ValueError(f"unknown config field: {path + '.' if path else ''}{unknown}")
 
 
 def number(value) -> float:

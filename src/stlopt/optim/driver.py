@@ -32,13 +32,16 @@ def optimize(
     budget: int,
     method: str = "cmaes",
     seed: int = 0,
+    on_record=None,
 ) -> list[RunRecord]:
     """Run exactly `budget` objective evaluations and return the history.
 
     Every optimizer searches the unit cube: each asked block is mapped to
     `bounds` in one step, and a trailing partial block (such as a CMA-ES
     generation cut by the budget) is still evaluated and told, so the budget
-    is honored exactly.  Larger objective values are better.
+    is honored exactly.  Larger objective values are better.  `on_record`,
+    if given, is called with each record right after it is appended and
+    before the next objective call; `optimize` never sets `satisfied`.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
@@ -59,6 +62,8 @@ def optimize(
             best = max(best, v)
             values.append(v)
             records.append(RunRecord(len(records) + 1, p, v, None, best))
+            if on_record is not None:
+                on_record(records[-1])
         # tell the cube coordinates of the points actually evaluated:
         # to_unit(from_unit(z)) can differ from the asked z in the last bit,
         # and the recorded result digests come from learning these; telling

@@ -14,7 +14,7 @@ import numpy as np
 from .exceptions import ParseError
 from .formula import (And, Eventually, Formula, Globally, Interval, Pred, Until, channels,
                       children, format_formula, horizon)
-from .jsonfields import json_field, list_of, number, optional_text, text
+from .jsonfields import json_field, known_fields, list_of, number, optional_text, text
 from .optim.bounds import Bounds
 from .parser import parse_formula
 from .semantics import MetricConfig, evaluate, satisfies
@@ -228,6 +228,7 @@ def task_to_json(spec: TaskSpec) -> dict:
 
 
 def _region_from_json(data) -> Region:
+    known_fields(data, ("name", "box", "window"))
     return Region(
         json_field(data, "name", text),
         *json_field(data, "box", list_of(number, 4)),
@@ -243,6 +244,8 @@ def _interval(value) -> tuple[float, float]:
 
 
 def task_from_json(data: dict) -> TaskSpec:
+    known_fields(data, ("regions", "home", "bounds", "sample_rate", "formula"))
+    known_fields(json_field(data, "bounds", default=None), ("duration", "workspace"), "bounds")
     regions = tuple(json_field(data, "regions", list_of(_region_from_json)))
     formula_text = json_field(data, "formula", optional_text, None)
     if formula_text:

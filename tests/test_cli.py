@@ -379,6 +379,37 @@ def test_optimize_negative_seed_exit_1_before_any_run(monkeypatch, tmp_path, cap
     assert err == "stlopt: config error: seeds: -5 is negative\n"
 
 
+def test_bench_repeated_seed_exit_1_before_any_run(monkeypatch, capsys):
+    runs = _no_runs(monkeypatch)
+    assert main(["bench", "eq2", "--method", "random", "--budget", "2", "--seeds", "0,0"]) == 1
+    out, err = capsys.readouterr()
+    assert not runs and out == ""
+    assert err == "stlopt: config error: seeds: 0 appears twice\n"
+
+
+@pytest.mark.parametrize(
+    "cfg, message",
+    [
+        ({"method": "random", "metric": {"kind": "lse", "K": 50}, "budjet": 3, "seeds": [0]},
+         "unknown config field: budjet"),
+        ({"method": "random", "metric": {"kind": "lse", "K": 50}, "budget": 3, "seeds": [0]},
+         "unknown config field: metric.K"),
+        ({"method": "random", "metric": {"kind": "space"}, "budget": 2, "seeds": [3, 0, 3]},
+         "seeds: 3 appears twice"),
+        ({"method": "random", "metric": {"kind": "agm", "agm_scales": {"x": 1.0}}, "budget": 2,
+          "seeds": [0]},
+         "metric.agm_scales: missing agm scale for channel 'y'"),
+    ],
+    ids=["unknown-top-level", "unknown-metric", "repeated-seed", "agm-scale-missing"],
+)
+def test_optimize_config_rejected_before_any_run_exit_1(monkeypatch, tmp_path, capsys, cfg,
+                                                        message):
+    runs = _no_runs(monkeypatch)
+    code, err = _optimize_exit_and_error(tmp_path, capsys, cfg)
+    assert code == 1 and not runs
+    assert err == f"stlopt: config error: {message}\n"
+
+
 def test_optimize_task_formula_channel_outside_the_trajectory_exit_1(tmp_path, capsys):
     from stlopt.task import benchmark_eq2, task_to_json
 
@@ -522,12 +553,17 @@ def _no_formula(task, regions):
             "formula horizon exceeds the longest possible trajectory",
         ),
         (lambda t: t.update(formula="F[0,15](x > 1e999)"), "formula: 1:13: predicate threshold inf is not finite"),
+        (lambda t: t.update(sample_rat=20.0), "unknown config field: sample_rat"),
+        (lambda t: t["bounds"].update(durations=[1, 2]), "unknown config field: bounds.durations"),
+        (lambda t: t["regions"][1].update(windw=[8, 10]), "regions: item 1: unknown config field: windw"),
     ],
-    ids=["no-formula-no-region", "degenerate-box", "horizon-too-long", "infinite-threshold"],
+    ids=["no-formula-no-region", "degenerate-box", "horizon-too-long", "infinite-threshold",
+         "unknown-field", "unknown-bounds-field", "unknown-region-field"],
 )
-def test_optimize_task_rejected_when_it_loads_exit_1(tmp_path, capsys, edit, message):
+def test_optimize_task_rejected_when_it_loads_exit_1(monkeypatch, tmp_path, capsys, edit, message):
+    runs = _no_runs(monkeypatch)
     code, err = _optimize_task_exit_and_error(tmp_path, capsys, edit)
-    assert code == 1
+    assert code == 1 and not runs
     assert err == message + "\n"
 
 

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import stlopt.harness
 from stlopt import ExperimentConfig, MetricConfig, RunRecord, emit_results, run_experiment
 from stlopt.harness import (
     ExperimentResult,
@@ -11,12 +12,15 @@ from stlopt.harness import (
     load_task,
     summary_dict,
 )
+from stlopt.optim.driver import METHODS
 from stlopt.task import (
     PARAM_NAMES,
     TRAJECTORY_CHANNELS,
+    benchmark_eq2,
     build_trajectory,
     evaluation_trace,
     objective_detail,
+    task_to_json,
 )
 from stlopt.trace import CSV_BLOCK_ROWS, load_trace_csv
 from oracle import ref_runs_csv, ref_trace_csv
@@ -43,6 +47,8 @@ def test_config_validation():
         small_config(seeds=[])
     with pytest.raises(ValueError, match="^seeds: -1 is negative$"):
         small_config(seeds=[2, -1])
+    with pytest.raises(ValueError, match="^seeds: 0 appears twice$"):
+        small_config(seeds=[0, 1, 0])
 
 
 def test_default_agm_scales_cover_the_trajectory_channels():
@@ -215,3 +221,47 @@ def test_mean_sr_and_median_ts():
         assert result.median_ts == pytest.approx(float(np.median(ts_vals)))
     else:
         assert result.median_ts is None
+
+
+def _half_satisfiable_task(tmp_path):
+    """eq2's document with a formula that a fair share of the box satisfies."""
+    data = task_to_json(benchmark_eq2())
+    data["formula"] = "F[0,3](x > 0.5)"
+    path = tmp_path / "task.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+@pytest.mark.parametrize("method", sorted(METHODS))
+def test_run_experiment_hands_each_flagged_record_to_on_record(tmp_path, monkeypatch, method):
+    # budget 25 ends each CMA-ES run (lambda = 10) in a partial generation
+    cfg = small_config(method=method, budget=25, seeds=[0, 1], task=_half_satisfiable_task(tmp_path))
+    events = []
+    scored = stlopt.harness.objective_detail
+
+    def counted(spec, metric, p):
+        events.append("objective")
+        return scored(spec, metric, p)
+
+    monkeypatch.setattr(stlopt.harness, "objective_detail", counted)
+    result = run_experiment(cfg, on_record=lambda r: events.append((r, r.satisfied)))
+    assert events[0::2] == ["objective"] * 50 and len(events) == 100
+    seen = events[1::2]
+    records = [r for s in result.per_seed for r in s.records]
+    assert all(r is got for r, (got, _) in zip(records, seen))
+    assert [r.index for r, _ in seen] == list(range(1, 26)) * 2
+    # the flag was set before the callback ran, from the Boolean oracle
+    task = load_task(cfg.task)
+    flags = [sat for _, sat in seen]
+    assert flags == [scored(task, cfg.metric, r.params)[1] for r in records]
+    assert True in flags and False in flags
+    assert [s.sr for s in result.per_seed] == [4.0 * sum(flags[:25]), 4.0 * sum(flags[25:])]
+
+
+def test_run_experiment_rejects_agm_scales_missing_a_formula_channel(monkeypatch):
+    runs = []
+    monkeypatch.setattr(stlopt.harness, "optimize", lambda *args: runs.append(args))
+    cfg = small_config(metric=MetricConfig("agm", agm_scales={"x": 1.0}))
+    with pytest.raises(ValueError, match="^metric.agm_scales: missing agm scale for channel 'y'$"):
+        run_experiment(cfg)
+    assert not runs

@@ -471,6 +471,25 @@ def test_optimize_monotone_best_and_feasible():
         assert b.contains(r.params)
 
 
+@pytest.mark.parametrize("method", sorted(METHODS))
+def test_optimize_hands_each_record_to_on_record_before_the_next_call(method):
+    # budget 25 ends a CMA-ES run (lambda = 10 in 9 dimensions) in a partial generation
+    assert CmaEs(9).lam == 10
+    events = []
+
+    def objective(p):
+        events.append("objective")
+        return -float(np.sum((p - 0.3) ** 2))
+
+    records = optimize(objective, unit_box(9), 25, method, seed=0, on_record=events.append)
+    assert events[0::2] == ["objective"] * 25 and len(events) == 50
+    assert all(seen is r for seen, r in zip(events[1::2], records))
+    assert [r.index for r in records] == list(range(1, 26))
+    bare = optimize(objective, unit_box(9), 25, method, seed=0)
+    assert [r.value for r in bare] == [r.value for r in records]
+    assert all(r.satisfied is None for r in bare + records)
+
+
 def test_optimize_random_determinism():
     b = unit_box(4)
     obj = lambda p: float(p.sum())
