@@ -13,7 +13,11 @@ every workload, pair i runs `python3 perfbench/run.py --workload W --seed S
 change in odd ones.  The script writes BENCH_<label>.json to --out: per
 end-to-end metric each side's median and inclusive quartiles, the pairs the
 change wins (ties count for neither), the relative change of the medians
-and the parent's interquartile range, plus every run's values.  A claimed
+and the parent's interquartile range, plus every run's values.  Each run's
+minor page faults (the growth of getrusage(RUSAGE_CHILDREN).ru_minflt
+around it, which counts the runner and the CLI processes it starts) are
+kept beside the metrics, as each side's median and quartiles; they are
+never a claim metric.  A claimed
 metric is met when there are at least ten pairs, the change wins at least
 nine tenths of them and its median beats the parent's by more than the
 parent's interquartile range.  The run length T and the direction in which
@@ -26,6 +30,7 @@ import argparse
 import json
 import os
 import platform
+import resource
 import statistics
 import subprocess
 import sys
@@ -69,12 +74,14 @@ def claim_met(summary: dict, pairs: int) -> bool:
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
+    before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
+    faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - before
     if proc.returncode != 0:
         raise RuntimeError(f"{tree}: {' '.join(cmd)} exited {proc.returncode}: {proc.stderr}")
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     values = {name: m["value"] for name, m in result["metrics"].items()}
-    return {"correct": result["correct"], "values": values}
+    return {"correct": result["correct"], "values": values, "minor_faults": faults}
 
 
 def main(argv=None) -> int:
@@ -113,7 +120,9 @@ def main(argv=None) -> int:
                   "the side that runs first alternating (scripts/ab_pairs.py). Each entry: median "
                   "and inclusive quartiles over the runs per side, change_wins = pairs the change "
                   "wins (ties count for neither), rel_change = (change median - parent median) / "
-                  "parent median, median_gap = the change's improvement of the median.",
+                  "parent median, median_gap = the change's improvement of the median. minor_faults: "
+                  "each run's growth of getrusage(RUSAGE_CHILDREN).ru_minflt, the runner and its "
+                  "CLI processes together; median and quartiles per side, never a claim metric.",
     }
     workloads = {}
     for j, workload in enumerate(args.workload):
@@ -136,8 +145,11 @@ def main(argv=None) -> int:
             entry[name] = summarize([r["parent"]["values"][name] for r in runs],
                                     [r["change"]["values"][name] for r in runs],
                                     better.get(name, "lower"))
+        entry["minor_faults"] = {side: quartiles([r[side]["minor_faults"] for r in runs])
+                                 for side in ("parent", "change")}
         entry["runs"] = [{"seed": r["seed"], "first": r["first"],
-                          "parent": r["parent"]["values"], "change": r["change"]["values"]}
+                          "parent": r["parent"]["values"], "change": r["change"]["values"],
+                          "minor_faults": {s: r[s]["minor_faults"] for s in ("parent", "change")}}
                          for r in runs]
         workloads[workload] = entry
     if args.claim:

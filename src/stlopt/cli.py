@@ -15,7 +15,7 @@ from .exceptions import StlError
 from .harness import ExperimentConfig, emit_results, load_task, run_experiment, summary_dict
 from .parser import parse_formula
 from .optim.driver import METHODS
-from .semantics import METRIC_KINDS, MetricConfig, evaluate, satisfies
+from .semantics import METRIC_KINDS, MetricConfig, check_hyperparameters_read, evaluate, satisfies
 from .task import task_to_json
 from .trace import load_trace_csv
 
@@ -91,6 +91,7 @@ def _cmd_eval(args) -> int:
     trace = load_trace_csv(args.trace)
     scales = json.loads(args.agm_scales) if args.agm_scales else None
     cfg = MetricConfig(args.metric, k=args.k, nu=args.nu, agm_scales=scales)
+    check_hyperparameters_read(cfg, "--")
     value = evaluate(cfg, formula, trace, args.time).value
     result = {
         "metric": args.metric,
@@ -124,9 +125,11 @@ def _cmd_bench(args) -> int:
     if args.dump_task:
         print(json.dumps(task_to_json(load_task(args.task)), indent=2, sort_keys=True))
         return EXIT_OK
+    metric = MetricConfig(args.metric, k=args.k, nu=args.nu)
+    check_hyperparameters_read(metric, "--")
     cfg = ExperimentConfig(
         method=args.method,
-        metric=MetricConfig(args.metric, k=args.k, nu=args.nu),
+        metric=metric,
         budget=args.budget,
         seeds=_parse_seeds(args.seeds),
         task=args.task,

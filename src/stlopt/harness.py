@@ -12,7 +12,7 @@ import numpy as np
 from .formula import channels
 from .jsonfields import integer, json_field, known_fields, list_of, number, optional_text, text
 from .optim.driver import METHODS, RunRecord, optimize
-from .semantics import MetricConfig
+from .semantics import MetricConfig, check_hyperparameters_read
 from .task import (
     PARAM_NAMES,
     TRAJECTORY_CHANNELS,
@@ -61,6 +61,7 @@ class ExperimentConfig:
             nu=json_field(data, "metric.nu", number, 2.0),
             agm_scales=json_field(data, "metric.agm_scales", default=None),
         )
+        check_hyperparameters_read(metric)
         return cls(
             method=json_field(data, "method", text),
             metric=metric,

@@ -17,6 +17,22 @@ Squared distances are built one (q, m) input plane at a time and added in
 place in the order of numpy's pairwise summation (`pairwise_sum` in
 numpy/_core/src/umath/loops_utils.h.src), so they equal the broadcast
 ``np.sum(d * d, axis=-1)`` bit for bit without its (q, m, n) temporaries.
+
+The grid is scored one lengthscale at a time, each a (sigma_f2, sigma_n2, m)
+block of at most 48 KB (m <= 60), with the same elementwise operations and
+the same per-cell sum as the whole (10, 10, 10, m) grid, so every LML is
+bit-identical.  Whole-grid temporaries (240 KB at m = 30) sit above glibc's
+128 KB mmap threshold, so each fit handed them back to the kernel and
+faulted them in again: about 17 600 minor page faults per 60-evaluation BO
+run on eq2, against at most 3 500 in a process's first run and 0-2 in
+later ones once these blocks and the exploit arm's per-cloud means (see
+bayes.py) keep every temporary below it and the heap pages are reused
+(x86_64 Linux, glibc, numpy 2.4, one OpenBLAS thread).
+The cross-covariance is built in place in its distance array for the same
+reason: with three (256, m) temporaries alive at once, a heap whose top
+held them still gave them back on each free (glibc's 128 KB trim
+threshold), about 2 500 faults per BO run in one layout of the benchmark's
+runner.
 """
 
 from __future__ import annotations
@@ -111,9 +127,14 @@ def _posterior(X, ys, y_mean, y_std, lengthscale, sigma_f2, sigma_n2, lam, Q) ->
 
 
 def _k_star(model: GpModel, Xq) -> np.ndarray:
+    """sigma_f2 exp(-d2 / (2 ell^2)), each step in place in the distances."""
     Xq = np.atleast_2d(np.asarray(Xq, dtype=float))
-    d2 = _sq_dists(Xq, model.x)
-    return model.sigma_f2 * np.exp(-d2 / (2.0 * model.lengthscale * model.lengthscale))
+    k = _sq_dists(Xq, model.x)
+    np.negative(k, out=k)
+    k /= 2.0 * model.lengthscale * model.lengthscale
+    np.exp(k, out=k)
+    k *= model.sigma_f2
+    return k
 
 
 def gp_mean(model: GpModel, Xq) -> np.ndarray:
@@ -154,10 +175,12 @@ def fit_gp_grid(X, y) -> GpModel:
     R = np.exp(-_sq_dists(X, X) / (2.0 * _ELL_GRID * _ELL_GRID)[:, None, None])  # (ell, m, m)
     lam, Q = np.linalg.eigh(R)
     b2 = (np.swapaxes(Q, -1, -2) @ ys) ** 2
-    e = _SF2_GRID[:, None, None] * lam[:, None, None] + _SN2_GRID[:, None]  # (ell, sf2, sn2, m)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lml = -0.5 * np.sum(b2[:, None, None] / e + np.log(e), axis=-1)
-    lml[np.any(e <= 0.0, axis=-1)] = -np.inf
+    lml = np.empty((_ELL_GRID.size, _SF2_GRID.size, _SN2_GRID.size))
+    for i in range(_ELL_GRID.size):
+        e = _SF2_GRID[:, None, None] * lam[i] + _SN2_GRID[:, None]  # (sf2, sn2, m)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            lml[i] = -0.5 * np.sum(b2[i] / e + np.log(e), axis=-1)
+        lml[i][np.any(e <= 0.0, axis=-1)] = -np.inf
     i, j, k = np.unravel_index(np.argmax(lml), lml.shape)
     ell, sf2, sn2 = float(_ELL_GRID[i]), float(_SF2_GRID[j]), float(_SN2_GRID[k])
     return _posterior(X, ys, y_mean, y_std, ell, sf2, sn2, lam[i], Q[i])

@@ -93,6 +93,22 @@ class MetricConfig:
                 _check_positive_finite(f"agm scale for {name!r}", scale)
 
 
+# the kinds that read each scalar hyperparameter
+_READ_BY = {"k": ("lse", "smooth"), "nu": ("new",)}
+
+
+def check_hyperparameters_read(cfg: MetricConfig, prefix: str = "metric.") -> None:
+    """Reject a k or nu off its default under a kind that never reads it, so
+    a config or flag cannot be echoed as if it counted.  MetricConfig itself
+    accepts every field for every kind: the metric sweep, the property suite
+    and the benchmark pass one set of hyperparameters to all kinds."""
+    for name, kinds in _READ_BY.items():
+        value = getattr(cfg, name)
+        if cfg.kind not in kinds and value != MetricConfig.__dataclass_fields__[name].default:
+            shown = repr(value).removesuffix(".0")
+            raise ValueError(f"{prefix}{name}: {shown} is not read by the {cfg.kind} semantics")
+
+
 def _check_positive_finite(what: str, value) -> None:
     if isinstance(value, bool) or not (isinstance(value, (int, float)) and 0 < value < math.inf):
         raise ValueError(f"{what} must be positive and finite, got {value!r}")

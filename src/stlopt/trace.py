@@ -177,10 +177,23 @@ def load_trace_csv(path: str) -> Trace:
             raise TraceError(
                 f"{path}: non-uniform sampling (relative tolerance 1e-6 exceeded)"
             )
+        dt = _written_step(times, dt)
     try:
         return Trace(tuple(names[1:]), float(times[0]), dt, data[:, 1:])
     except ValueError as exc:  # a channel name that is empty or repeated
         raise TraceError(f"{path}: {exc}") from None
+
+
+def _written_step(times: np.ndarray, dt: float) -> float:
+    """The step with which save_trace_csv would write exactly these times,
+    times[0] + step * k: the shortest decimal rounding of the decimal dt that
+    does, else times[1] - times[0] if it does, else dt.  A seven-row 0.1 grid
+    from t0 = 0.3 reloads with dt 0.1 although its decimals give
+    0.10000000000000002; a step with no short decimal (1/3) can be lost,
+    since several steps then write the same times."""
+    k = np.arange(len(times))
+    steps = [float(f"{dt:.{digits}g}") for digits in range(1, 18)] + [float(times[1] - times[0])]
+    return next((s for s in steps if np.array_equal(times[0] + s * k, times)), dt)
 
 
 def save_trace_csv(trace: Trace, path: str) -> None:

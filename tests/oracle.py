@@ -402,6 +402,32 @@ def ref_gp_posterior(model, y, Xq):
     return L, alpha, y_mean + y_std * (k_star @ alpha), y_std**2 * var
 
 
+def ref_gp_mean(model, Xq):
+    """The posterior mean of model at Xq as one broadcast expression;
+    gp.gp_mean must reproduce it bit for bit."""
+    scale = 2.0 * model.lengthscale * model.lengthscale
+    k_star = model.sigma_f2 * np.exp(-ref_sq_dists(np.asarray(Xq, dtype=float), model.x) / scale)
+    return model.y_mean + model.y_std * (k_star @ model.alpha)
+
+
+def ref_exploit_pick(x, y, rng):
+    """BayesOpt's exploit pick from history (x, y) and the optimizer's
+    generator rng, with one gp_mean call over the three stacked probe
+    clouds; the first maximum wins."""
+    from stlopt.optim import bayes
+
+    xs, ys = np.array(x), np.array(y)
+    incumbent = xs[int(np.argmax(ys))]
+    dist = np.linalg.norm(xs - incumbent, axis=1)
+    nearest = np.argsort(dist, kind="stable")[: bayes.EXPLOIT_NEIGHBORS]
+    model = gp.fit_gp_grid(xs[nearest], ys[nearest])
+    probes = np.vstack([
+        np.clip(incumbent + rng.uniform(-r, r, size=(bayes.EXPLOIT_PROBES, xs.shape[1])), 0.0, 1.0)
+        for r in bayes.EXPLOIT_RADII
+    ])
+    return probes[int(np.argmax(ref_gp_mean(model, probes)))]
+
+
 def ref_build_trajectory(p, sample_rate, home):
     """build_trajectory of the 9-vector p as one searchsorted and one
     interpolation per sample; the array version must reproduce it bit for bit."""

@@ -2,7 +2,8 @@
 
 Nothing here runs the benchmark: the quartiles, the pair count, the
 relative change and the claim rule are checked, and the command line with a
-stub in place of each benchmark run.
+stub in place of each benchmark run.  The page-fault count is checked on a
+stand-in runner script.
 """
 
 import importlib.util
@@ -85,7 +86,8 @@ def counted_runs(monkeypatch):
 
     def run_once(tree, workload, seed, seconds):
         calls.append((tree, workload, seed))
-        return {"correct": True, "values": {"wall_s": 1.0, "evals_per_s": 10.0}}
+        return {"correct": True, "values": {"wall_s": 1.0, "evals_per_s": 10.0},
+                "minor_faults": 100 * len(calls)}
 
     monkeypatch.setattr(ab_pairs, "run_once", run_once)
     return calls
@@ -101,7 +103,8 @@ def trees(tmp_path):
 
 
 @pytest.mark.parametrize("claim", ["eq2-sweep", "eq2-sweep:", "eq2-sweep:wall",
-                                   "monitor-long:wall_s", "eq2-sweep:wall_s:x"])
+                                   "monitor-long:wall_s", "eq2-sweep:wall_s:x",
+                                   "eq2-sweep:minor_faults"])
 def test_a_bad_claim_stops_before_the_first_run(tmp_path, counted_runs, capsys, claim):
     with pytest.raises(SystemExit):
         ab_pairs.main(trees(tmp_path) + ["--claim", claim, "--out", str(tmp_path)])
@@ -116,3 +119,29 @@ def test_out_is_created_before_the_first_run(tmp_path, counted_runs):
     assert len(counted_runs) == 2
     claim = json.loads((out / "BENCH_t.json").read_text())["claim"]
     assert (claim["workload"], claim["metric"], claim["met"]) == ("eq2-sweep", "wall_s", False)
+
+
+def test_minor_faults_are_kept_per_run_and_summarized_per_side(tmp_path, counted_runs):
+    args = trees(tmp_path) + ["--pairs", "2", "--out", str(tmp_path)]
+    assert ab_pairs.main(args) == 0
+    entry = json.loads((tmp_path / "BENCH_t.json").read_text())["workloads"]["eq2-sweep"]
+    # pair 0 runs the parent first (100, then 200), pair 1 the change (300, then 400)
+    assert [r["minor_faults"] for r in entry["runs"]] == [
+        {"parent": 100, "change": 200}, {"parent": 400, "change": 300}]
+    assert entry["minor_faults"] == {"parent": {"median": 250, "q1": 175, "q3": 325},
+                                     "change": {"median": 250, "q1": 225, "q3": 275}}
+    assert "minor_faults" not in entry["runs"][0]["parent"]  # not an end-to-end metric
+
+
+def test_run_once_counts_the_minor_faults_of_the_benchmark_process(tmp_path):
+    def tree(name, body):
+        (tmp_path / name / "perfbench").mkdir(parents=True)
+        (tmp_path / name / "perfbench" / "run.py").write_text(
+            body + '\nprint(\'{"correct": true, "metrics": {"wall_s": {"value": 0.5}}}\')\n')
+        return tmp_path / name
+
+    idle = ab_pairs.run_once(tree("idle", "pass"), "w", 0, 1.0)
+    # 64 MB written: 16384 faults on 4 KB pages, 32 even on 2 MB pages
+    busy = ab_pairs.run_once(tree("busy", "block = b'x' * (64 << 20)"), "w", 0, 1.0)
+    assert idle["values"] == busy["values"] == {"wall_s": 0.5}
+    assert busy["minor_faults"] - idle["minor_faults"] >= 32

@@ -225,6 +225,28 @@ def test_eval_bad_metric_parameter_exit_1(trace_csv, capsys, flags):
     assert err.startswith("stlopt: config error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "command, message",
+    [
+        (["eval", "--metric", "space", "--k", "500"], "--k: 500 is not read by the space semantics"),
+        (["eval", "--metric", "lse", "--nu", "3"], "--nu: 3 is not read by the lse semantics"),
+        (["bench", "eq2", "--metric", "new", "--k", "500"], "--k: 500 is not read by the new semantics"),
+        (["bench", "eq2", "--metric", "smooth", "--nu", "1"], "--nu: 1 is not read by the smooth semantics"),
+    ],
+)
+def test_a_flag_the_metric_does_not_read_exit_1(trace_csv, capsys, command, message):
+    flags = ["--formula", "x > 0", "--trace", trace_csv, "--time", "0"] if command[0] == "eval" else []
+    assert main([*command, *flags]) == 1
+    assert capsys.readouterr().err == f"stlopt: config error: {message}\n"
+
+
+def test_optimize_hyperparameter_the_metric_does_not_read_exit_1(tmp_path, capsys):
+    cfg = {"method": "random", "metric": {"kind": "new", "k": 500}, "budget": 5, "seeds": [0]}
+    code, err = _optimize_exit_and_error(tmp_path, capsys, cfg)
+    assert code == 1
+    assert err == "stlopt: config error: metric.k: 500 is not read by the new semantics\n"
+
+
 def _optimize_exit_and_error(tmp_path, capsys, cfg):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from stlopt.harness import (
     summary_dict,
 )
 from stlopt.optim.driver import METHODS
+from stlopt.semantics import METRIC_KINDS
 from stlopt.task import (
     PARAM_NAMES,
     TRAJECTORY_CHANNELS,
@@ -57,9 +59,36 @@ def test_default_agm_scales_cover_the_trajectory_channels():
 
 
 def test_config_json_roundtrip():
-    cfg = small_config(metric=MetricConfig("agm", agm_scales={"x": 1.0, "y": 2.0}))
-    again = ExperimentConfig.from_json(cfg.to_json())
-    assert again.to_json() == cfg.to_json()
+    # every kind's default k and nu pass the check that a kind reads them
+    agm = MetricConfig("agm", agm_scales={"x": 1.0, "y": 2.0})
+    for metric in (agm, *map(MetricConfig, METRIC_KINDS)):
+        cfg = small_config(metric=metric)
+        again = ExperimentConfig.from_json(cfg.to_json())
+        assert again.to_json() == cfg.to_json()
+
+
+@pytest.mark.parametrize(
+    "metric, message",
+    [
+        ({"kind": "new", "k": 500}, "metric.k: 500 is not read by the new semantics"),
+        ({"kind": "space", "k": 0.5}, "metric.k: 0.5 is not read by the space semantics"),
+        ({"kind": "lse", "nu": 3}, "metric.nu: 3 is not read by the lse semantics"),
+        ({"kind": "agm", "nu": 1e300}, "metric.nu: 1e+300 is not read by the agm semantics"),
+    ],
+)
+def test_config_rejects_a_hyperparameter_its_kind_does_not_read(metric, message):
+    data = {"method": "random", "metric": metric, "budget": 5, "seeds": [0]}
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ExperimentConfig.from_json(data)
+
+
+def test_config_accepts_each_hyperparameter_its_kind_reads():
+    # agm_scales stays accepted for every kind
+    for metric in ({"kind": "lse", "k": 500}, {"kind": "smooth", "k": 0.5},
+                   {"kind": "new", "nu": 3}, {"kind": "space", "k": 10, "nu": 2.0},
+                   {"kind": "space", "agm_scales": {"x": 2.0}}):
+        data = {"method": "random", "metric": metric, "budget": 5, "seeds": [0]}
+        assert ExperimentConfig.from_json(data).metric.kind == metric["kind"]
 
 
 def test_config_missing_field():

@@ -1,5 +1,7 @@
+import copy
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,14 +17,16 @@ from stlopt.optim import (
     gp_predict,
     optimize,
 )
-from stlopt.optim import gp
+from stlopt.optim import bayes, gp
 from stlopt.optim.driver import METHODS
 from stlopt.optim.gp import fit_gp_grid
 from stlopt.task import benchmark_eq2, objective_detail
 from oracle import (
+    ref_exploit_pick,
     ref_gp_fixed,
     ref_gp_grid_lml,
     ref_gp_grid_loop,
+    ref_gp_mean,
     ref_gp_posterior,
     ref_sq_dists,
 )
@@ -177,8 +181,6 @@ def test_gp_grid_pick_matches_cholesky_reference():
 
 
 def test_bo_on_eq2_picks_the_cholesky_reference_cell(monkeypatch):
-    import stlopt.optim.bayes as bayes
-
     spec, cfg = benchmark_eq2(), MetricConfig("new")
     picks = []
 
@@ -289,8 +291,6 @@ def test_bayes_acquisition_stays_in_bounds():
 
 
 def test_bayes_fits_one_gp_per_model_guided_ask(monkeypatch):
-    import stlopt.optim.bayes as bayes
-
     fits = []
 
     def counted(X, y):
@@ -310,25 +310,82 @@ def test_bayes_fits_one_gp_per_model_guided_ask(monkeypatch):
 
 
 def test_bayes_exploit_arm_reads_only_the_posterior_mean(monkeypatch):
-    import stlopt.optim.bayes as bayes
+    asks = []  # per model-guided ask, the posterior reads after its one fit
 
-    arms = []
+    def fitted(X, y):
+        asks.append([])
+        return fit_gp_grid(X, y)
 
     def mean_only(model, Xq):
-        arms.append("exploit")
+        asks[-1].append("mean")
         return gp.gp_mean(model, Xq)
 
     def mean_and_variance(model, Xq):
-        arms.append("explore")
+        asks[-1].append("predict")
         return gp.gp_predict(model, Xq)
 
+    monkeypatch.setattr(bayes, "fit_gp_grid", fitted)
     monkeypatch.setattr(bayes, "gp_mean", mean_only)
     monkeypatch.setattr(bayes, "gp_predict", mean_and_variance)
     optimize(lambda p: 0.0, unit_box(2), 30, "bo", seed=0)
     # a flat objective: every 8th model-guided ask follows 8 non-improving
-    # evaluations and explores
-    assert len(arms) == 30 - bayes.INIT_DESIGN
-    assert [i for i, arm in enumerate(arms) if arm == "explore"] == [0, 8, 16]
+    # evaluations and explores; an exploit ask reads one mean per probe cloud
+    assert len(asks) == 30 - bayes.INIT_DESIGN
+    assert [i for i, reads in enumerate(asks) if reads == ["predict"]] == [0, 8, 16]
+    exploit = ["mean"] * len(bayes.EXPLOIT_RADII)
+    assert all(reads == exploit for i, reads in enumerate(asks) if i not in (0, 8, 16))
+
+
+def test_gp_mean_per_probe_cloud_equals_one_call_on_the_stacked_probes():
+    # 120 fitted models: m in 1..30, n = 9, outputs scaled from 1e-3 to 1e3,
+    # queried at the exploit arm's three 256-probe clouds
+    rng = np.random.default_rng(23)
+    for case in range(120):
+        m = 1 + case % 30
+        X = rng.uniform(size=(m, 9))
+        model = fit_gp_grid(X, 10.0 ** rng.uniform(-3, 3) * rng.normal(size=m))
+        clouds = [
+            np.clip(X[0] + rng.uniform(-r, r, size=(bayes.EXPLOIT_PROBES, 9)), 0.0, 1.0)
+            for r in bayes.EXPLOIT_RADII
+        ]
+        per_cloud = np.concatenate([gp.gp_mean(model, cloud) for cloud in clouds])
+        assert np.array_equal(per_cloud, gp.gp_mean(model, np.vstack(clouds))), case
+        assert np.array_equal(per_cloud, ref_gp_mean(model, np.vstack(clouds))), case
+
+
+def test_bayes_exploit_pick_equals_the_one_call_reference():
+    for seed in range(3):
+        bo = BayesOpt(9, seed=seed)
+        target = np.random.default_rng(seed).uniform(size=9)
+        checked = 0
+        for _ in range(45):
+            exploits = bo._asked >= bayes.INIT_DESIGN and bo._stall < bayes.STALL_LIMIT
+            rng = copy.deepcopy(bo.rng)
+            z = bo.ask()
+            if exploits:
+                assert np.array_equal(z[0], ref_exploit_pick(bo.x, bo.y, rng)), (seed, bo._asked)
+                checked += 1
+            bo.tell(z, [float(-np.sum((z[0] - target) ** 2))])
+        assert checked >= 20
+
+
+def test_bayes_exploit_ask_peaks_below_640_kb():
+    # 40 history points, so the local GP has m = 30: the whole (10, 10, 10, m)
+    # LML grid and one (768, m) probe block peaked at 1092 KB, per
+    # lengthscale and per probe cloud the ask stays near 500 KB
+    bo = BayesOpt(9, seed=0)
+    rng = np.random.default_rng(4)
+    for i in range(40):
+        units = bo.ask() if i < bayes.INIT_DESIGN else rng.uniform(size=(1, 9))
+        bo.tell(units, [float(i)])  # every value improves, so the next ask exploits
+    assert bo._stall == 0
+    tracemalloc.start()
+    try:
+        bo.ask()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 640 * 1024, peak
 
 
 def test_gp_mean_is_the_predicted_mean():

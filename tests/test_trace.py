@@ -250,6 +250,27 @@ def test_csv_dt_comes_from_the_decimal_times(tmp_path, times, dt):
     assert load_trace_csv(str(p)).dt == dt
 
 
+def test_csv_roundtrip_keeps_t0_dt_and_samples(tmp_path):
+    # 144 grids written by save_trace_csv, each time t0 + dt * k; the
+    # decimals alone give dt = 0.10000000000000002 for t0 = 0, dt = 0.1,
+    # n = 7, whose last time is written as 0.6000000000000001
+    path = str(tmp_path / "trace.csv")
+    rng = np.random.default_rng(11)
+    for t0 in (0.0, 0.3, -1.3, 2.5, 100.0, -1000.0):
+        for dt in (0.1, 0.01, 0.02, 0.05, 0.2, 0.3, 0.7, 0.001):
+            for n in (2, 7, 3001):
+                trace = Trace(("x", "y"), t0, dt, rng.normal(size=(n, 2)))
+                save_trace_csv(trace, path)
+                back = load_trace_csv(path)
+                assert (back.t0, back.dt) == (t0, dt), (t0, dt, n, back.dt)
+                assert np.array_equal(back.samples, trace.samples)
+    # no decimal rounding of this step writes the same times; the first
+    # two times' difference does
+    trace = Trace(("x",), 0.0, 0.04710170052214814, np.zeros((7, 1)))
+    save_trace_csv(trace, path)
+    assert load_trace_csv(path).dt == trace.dt
+
+
 def test_csv_rejects_non_uniform(tmp_path):
     path = str(tmp_path / "bad.csv")
     path_obj = tmp_path / "bad.csv"
