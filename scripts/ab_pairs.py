@@ -17,10 +17,14 @@ and the parent's interquartile range, plus every run's values.  Each run's
 minor page faults (the growth of getrusage(RUSAGE_CHILDREN).ru_minflt
 around it, which counts the runner and the CLI processes it starts) are
 kept beside the metrics, as each side's median and quartiles; they are
-never a claim metric.  A claimed
-metric is met when there are at least ten pairs, the change wins at least
-nine tenths of them and its median beats the parent's by more than the
-parent's interquartile range.  The run length T and the direction in which
+never a claim metric.  Start-up alone faults a few thousand times, and that
+count moves with the source text and the checkout's path, not with the
+work.  So before the pairs each tree runs each workload once with
+--seconds 0.01; its faults are that side's startup_faults, and
+minor_faults_net is each run's count less them.  A claimed metric is met
+when there are at least ten pairs, the change wins at least nine tenths of
+them and its median beats the parent's by more than the parent's
+interquartile range.  The run length T and the direction in which
 each metric is better come from the parent tree's BENCHMARK.json.
 """
 
@@ -36,6 +40,8 @@ import subprocess
 import sys
 from importlib.metadata import version
 from pathlib import Path
+
+STARTUP_SECONDS = 0.01  # start-up and one round of operations
 
 
 def quartiles(values) -> dict:
@@ -122,10 +128,15 @@ def main(argv=None) -> int:
                   "wins (ties count for neither), rel_change = (change median - parent median) / "
                   "parent median, median_gap = the change's improvement of the median. minor_faults: "
                   "each run's growth of getrusage(RUSAGE_CHILDREN).ru_minflt, the runner and its "
-                  "CLI processes together; median and quartiles per side, never a claim metric.",
+                  "CLI processes together; median and quartiles per side, never a claim metric. "
+                  "startup_faults: the faults of one --seconds 0.01 run of each tree, made before "
+                  "the pairs; minor_faults_net: each run's count less its side's startup_faults.",
     }
     workloads = {}
+    sides = ("parent", "change")
     for j, workload in enumerate(args.workload):
+        startup = {s: run_once(getattr(args, s), workload, args.first_seed + j * args.pairs,
+                               STARTUP_SECONDS)["minor_faults"] for s in sides}
         runs = []
         for i in range(args.pairs):
             seed = args.first_seed + j * args.pairs + i
@@ -139,17 +150,19 @@ def main(argv=None) -> int:
         entry = {
             "seeds": [r["seed"] for r in runs],
             "pairs": len(runs),
-            "correct": all(r[s]["correct"] for r in runs for s in ("parent", "change")),
+            "correct": all(r[s]["correct"] for r in runs for s in sides),
         }
         for name in runs[0]["parent"]["values"]:
             entry[name] = summarize([r["parent"]["values"][name] for r in runs],
                                     [r["change"]["values"][name] for r in runs],
                                     better.get(name, "lower"))
-        entry["minor_faults"] = {side: quartiles([r[side]["minor_faults"] for r in runs])
-                                 for side in ("parent", "change")}
+        entry["startup_faults"] = startup
+        entry["minor_faults"] = {s: quartiles([r[s]["minor_faults"] for r in runs]) for s in sides}
+        entry["minor_faults_net"] = {
+            s: quartiles([r[s]["minor_faults"] - startup[s] for r in runs]) for s in sides}
         entry["runs"] = [{"seed": r["seed"], "first": r["first"],
                           "parent": r["parent"]["values"], "change": r["change"]["values"],
-                          "minor_faults": {s: r[s]["minor_faults"] for s in ("parent", "change")}}
+                          "minor_faults": {s: r[s]["minor_faults"] for s in sides}}
                          for r in runs]
         workloads[workload] = entry
     if args.claim:

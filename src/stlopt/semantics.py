@@ -7,12 +7,20 @@ Ferrère & Maler, "Efficient Robust Monitoring for STL" (CAV 2013).
 Predicates read a column slice, And/Or stack their children along a last
 axis and reduce it, G and F reduce a sliding window over the child's
 values, and Until takes one sliding window over its left operand as long
-as its widest prefix and, for each window offset, reduces that view's
-leading columns together with its right operand.  Window offsets come from
-window_indices once per temporal node: on a uniform grid they are the same
-at every index.  The walk runs once per node on windows of 11-21 samples
-in the eq2 task, where numpy's Python-level wrappers cost more than the
-arithmetic, so it builds strided views and calls ufunc methods directly.
+as its widest prefix and pairs each window offset's prefix of that view
+with its right operand.  When the node's conjunction is the exact min (or
+the exact max, under negation), every prefix comes from one running
+extremum along the view (np.minimum.accumulate), as in Donzé, Ferrère &
+Maler; that serves space, the Boolean oracle and time robustness's scan,
+and the values are those of separate reductions because min and max are
+exact.  The smoothed semantics reduce each prefix whole, one call per
+window offset: a running or segmented sum groups a prefix's terms
+differently from numpy's pairwise sum over it, so the value would move in
+the last bits.  Window offsets come from window_indices once per temporal
+node: on a uniform grid they are the same at every index.  The walk runs
+once per node on windows of 11-21 samples in the eq2 task, where numpy's
+Python-level wrappers cost more than the arithmetic, so it builds strided
+views and calls ufunc methods directly.
 A semantics is a predicate map plus a conjunction/disjunction pair that
 reduces the last axis of an array; the Boolean oracle is the same walk over
 +-1 predicate values with min/max.
@@ -34,6 +42,12 @@ members under-approximate), and the polarity trick is what keeps the smooth
 value below the space value on every formula, negations included.  The
 averaging semantics negates the value instead: its temporal steps have no
 dual.
+
+Every finite trace value, threshold and hyperparameter is accepted.  evaluate
+and satisfies run the whole walk under one np.errstate that ignores overflow,
+division by zero and invalid values, so the walk's aggregator kernels open
+none of their own: an exponential term that overflows has zero weight, and a
+value that is not finite at the end is an EvaluationError.
 """
 
 from __future__ import annotations
@@ -190,7 +204,11 @@ def _walk(f: Formula, x: Trace, lo: int, hi: int, sem: _Semantics, positive=True
         # spans[i] is lhs over lo+i .. lo+i+db (lhs covers lo..hi+db, so n
         # rows); prefix[i, d - da] reduces its first d + 1 columns
         spans = _windows(lhs, db + 1)
-        prefix = _stack([conj(spans[:, : d + 1]) for d in range(da, db + 1)])
+        running = _RUNNING.get(conj)
+        if running is not None:
+            prefix = running.accumulate(spans, axis=-1)[:, da:]
+        else:
+            prefix = _stack([conj(spans[:, : d + 1]) for d in range(da, db + 1)])
         pairs = np.stack([_windows(rhs, db - da + 1), prefix], axis=-1)
         return disj(conj(pairs))
     windows = _windows(_walk(f.child, x, lo + da, hi + db, sem, positive), db - da + 1)
@@ -201,11 +219,13 @@ def _walk(f: Formula, x: Trace, lo: int, hi: int, sem: _Semantics, positive=True
 
 def _value(f: Formula, x: Trace, t: float, sem: _Semantics) -> float:
     k0 = x.time_index(t)
-    return float(_walk(f, x, k0, k0, sem)[0])
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        return float(_walk(f, x, k0, k0, sem)[0])
 
 
 _min = partial(np.minimum.reduce, axis=-1)
 _max = partial(np.maximum.reduce, axis=-1)
+_RUNNING = {_min: np.minimum, _max: np.maximum}  # Until's prefixes in one pass
 _BOOLEAN = _Semantics(lambda p, column: np.where(p.holds(column), 1.0, -1.0), _min, _max)
 _SPACE = _Semantics(Pred.margin, _min, _max)
 
@@ -283,7 +303,9 @@ def _semantics(cfg: MetricConfig, f: Formula) -> _Semantics:
             Pred.margin, lambda v: agg.smooth_min(v, k), lambda v: agg.smooth_max(v, k)
         )
     if cfg.kind == "new":  # scale-invariant weighted average; sign matches space
-        return _Semantics(Pred.margin, lambda v: agg.new_and(v, nu), lambda v: agg.new_or(v, nu))
+        return _Semantics(
+            Pred.margin, lambda v: agg._new_and(v, nu), lambda v: agg._new_or(v, nu)
+        )
     scales = cfg.agm_scales or {}
     missing = sorted(c for c in channels(f) if c not in scales)
     if missing:
@@ -292,7 +314,7 @@ def _semantics(cfg: MetricConfig, f: Formula) -> _Semantics:
     def pred(p: Pred, column: np.ndarray) -> np.ndarray:
         return np.clip(p.margin(column) / scales[p.channel], -1.0, 1.0)
 
-    return _Semantics(pred, agg.agm_and, agg.agm_or)
+    return _Semantics(pred, agg._agm_and, agg._agm_or)
 
 
 def evaluate(cfg: MetricConfig, f: Formula, x: Trace, t: float) -> RobustnessValue:

@@ -3,7 +3,7 @@
 Nothing here runs the benchmark: the quartiles, the pair count, the
 relative change and the claim rule are checked, and the command line with a
 stub in place of each benchmark run.  The page-fault count is checked on a
-stand-in runner script.
+stand-in runner script, and its start-up share on the stub.
 """
 
 import importlib.util
@@ -85,7 +85,7 @@ def counted_runs(monkeypatch):
     calls = []
 
     def run_once(tree, workload, seed, seconds):
-        calls.append((tree, workload, seed))
+        calls.append((tree, workload, seed, seconds))
         return {"correct": True, "values": {"wall_s": 1.0, "evals_per_s": 10.0},
                 "minor_faults": 100 * len(calls)}
 
@@ -116,7 +116,7 @@ def test_out_is_created_before_the_first_run(tmp_path, counted_runs):
     out = tmp_path / "new" / "dir"
     args = trees(tmp_path) + ["--claim", "eq2-sweep:wall_s", "--out", str(out)]
     assert ab_pairs.main(args) == 0
-    assert len(counted_runs) == 2
+    assert len(counted_runs) == 4  # a start-up run of each tree, then one pair
     claim = json.loads((out / "BENCH_t.json").read_text())["claim"]
     assert (claim["workload"], claim["metric"], claim["met"]) == ("eq2-sweep", "wall_s", False)
 
@@ -125,12 +125,32 @@ def test_minor_faults_are_kept_per_run_and_summarized_per_side(tmp_path, counted
     args = trees(tmp_path) + ["--pairs", "2", "--out", str(tmp_path)]
     assert ab_pairs.main(args) == 0
     entry = json.loads((tmp_path / "BENCH_t.json").read_text())["workloads"]["eq2-sweep"]
-    # pair 0 runs the parent first (100, then 200), pair 1 the change (300, then 400)
+    # the start-up runs read 100 (parent) and 200 (change); pair 0 runs the
+    # parent first (300, then 400), pair 1 the change (500, then 600)
+    assert entry["startup_faults"] == {"parent": 100, "change": 200}
     assert [r["minor_faults"] for r in entry["runs"]] == [
-        {"parent": 100, "change": 200}, {"parent": 400, "change": 300}]
-    assert entry["minor_faults"] == {"parent": {"median": 250, "q1": 175, "q3": 325},
-                                     "change": {"median": 250, "q1": 225, "q3": 275}}
+        {"parent": 300, "change": 400}, {"parent": 600, "change": 500}]
+    assert entry["minor_faults"] == {"parent": {"median": 450, "q1": 375, "q3": 525},
+                                     "change": {"median": 450, "q1": 425, "q3": 475}}
+    assert entry["minor_faults_net"] == {"parent": {"median": 350, "q1": 275, "q3": 425},
+                                         "change": {"median": 250, "q1": 225, "q3": 275}}
     assert "minor_faults" not in entry["runs"][0]["parent"]  # not an end-to-end metric
+
+
+def test_startup_faults_come_from_one_short_run_per_tree_before_each_workload(tmp_path,
+                                                                                counted_runs):
+    args = trees(tmp_path) + ["--workload", "monitor-long", "--out", str(tmp_path)]
+    assert ab_pairs.main(args) == 0
+    full = json.loads((_PATH.parent.parent / "BENCHMARK.json").read_text())["run_seconds"]
+    short = ab_pairs.STARTUP_SECONDS
+    assert [(Path(c[0]).name, c[1], c[3]) for c in counted_runs] == [
+        ("parent", "eq2-sweep", short), ("change", "eq2-sweep", short),
+        ("parent", "eq2-sweep", full), ("change", "eq2-sweep", full),
+        ("parent", "monitor-long", short), ("change", "monitor-long", short),
+        ("parent", "monitor-long", full), ("change", "monitor-long", full)]
+    workloads = json.loads((tmp_path / "BENCH_t.json").read_text())["workloads"]
+    assert workloads["monitor-long"]["startup_faults"] == {"parent": 500, "change": 600}
+    assert workloads["monitor-long"]["minor_faults_net"]["parent"]["median"] == 200
 
 
 def test_run_once_counts_the_minor_faults_of_the_benchmark_process(tmp_path):

@@ -151,6 +151,34 @@ def test_eval_trace_whose_time_span_overflows_exit_2(tmp_path, capsys):
     assert capsys.readouterr() == ("", f"stlopt: {p}: time column span is not finite\n")
 
 
+# Every finite input is accepted: a term that overflows has zero weight, and
+# a value that is not finite is one exit-2 line.  None prints a warning.
+@pytest.mark.parametrize("magnitude,formula,flags,code,value", [
+    ("1e6", "G[0,0.2](x > 0)", ["--metric", "lse", "--k", "1e305"], 0, -1e6),
+    ("1e308", "G[0,0.2](x > 0)", ["--metric", "lse"], 0, -1e308),
+    ("1e308", "F[0,0.2](x > 0)", ["--metric", "smooth"], 2, None),
+    ("1e308", "G[0,0.2](x < 1e308)", ["--metric", "space"], 0, 0.0),
+    ("1e308", "F[0,0.2](x > -1e308)", ["--metric", "space"], 2, None),
+    ("1e308", "G[0,0.2](x > 0)", ["--metric", "agm", "--agm-scales", '{"x": 1e-300}'], 0, -1 / 3),
+], ids=["lse-k-1e305", "lse", "smooth", "space-threshold-1e308", "space-threshold--1e308",
+        "agm-scale-1e-300"])
+def test_eval_at_the_edge_of_the_float_range_prints_no_warning(tmp_path, magnitude, formula,
+                                                               flags, code, value):
+    p = tmp_path / "big.csv"
+    p.write_text("time,x\n" + "".join(f"{0.1 * i:.1f},{'-' * (i % 2)}{magnitude}\n"
+                                      for i in range(4)))
+    got, out, err = run_cli("eval", "--formula", formula, "--trace", str(p), "--time", "0",
+                            *flags)
+    assert got == code
+    assert "Warning" not in out + err
+    if code == 0:
+        assert err == "" and len(out.splitlines()) == 1
+        assert json.loads(out)["value"] == value
+    else:
+        assert out == "" and len(err.splitlines()) == 1
+        assert "robustness is not finite" in err
+
+
 def test_usage_error_exit_1():
     code, _, err = run_cli("eval", "--formula", "x > 0")
     assert code == 1

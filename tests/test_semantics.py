@@ -3,14 +3,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stlopt import (
     AvgSemanticsError,
     EmptyWindowError,
+    EvaluationError,
     InsufficientHorizonError,
     MetricConfig,
     MissingAgmScaleError,
     Not,
+    Trace,
     UnalignedTimeError,
     UnknownChannelError,
     evaluate,
@@ -289,3 +293,35 @@ def test_every_semantics_raises_the_same_error(kind, probe):
             satisfies(f, tr, 0.0)
         else:
             evaluate(MetricConfig(kind, agm_scales={"x": 1.0, "q": 1.0}), f, tr, 0.0)
+
+
+# Every finite input is accepted ---------------------------------------------
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_POSITIVE = st.floats(min_value=0.0, max_value=math.inf, exclude_min=True, allow_infinity=False)
+_EDGE_FORMULAS = (
+    "G[0,0.2](x > {a})",
+    "F[0,0.2](x < {a} | y >= {b})",
+    "(x > {a} U[0,0.3] y <= {b})",
+    "!(G[0,0.1](x < {a}) & F[0.1,0.2](y > {b}))",
+    "G[0,0.1](F[0,0.1](x >= {a})) & !(y < {b} U[0.1,0.2] x > {a})",
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(st.sampled_from(_EDGE_FORMULAS), _FINITE, _FINITE,
+       st.lists(_FINITE, min_size=10, max_size=10), _POSITIVE, _POSITIVE, _POSITIVE, _POSITIVE)
+def test_every_finite_input_gives_a_finite_value_or_an_evaluation_error(
+        text, a, b, samples, k, nu, scale_x, scale_y):
+    """Values up to the float maximum, thresholds, k, nu and agm scales: the
+    value is finite or an EvaluationError, and numpy warns of nothing."""
+    f = parse_formula(text.format(a=repr(a), b=repr(b)))
+    x = Trace(("x", "y"), 0.0, 0.1, np.array(samples).reshape(5, 2))
+    assert satisfies(f, x, 0.0) in (True, False)
+    for kind in METRIC_KINDS:
+        cfg = MetricConfig(kind, k=k, nu=nu, agm_scales={"x": scale_x, "y": scale_y})
+        try:
+            value = evaluate(cfg, f, x, 0.0).value
+        except EvaluationError:
+            continue
+        assert type(value) is float and math.isfinite(value), (kind, value)

@@ -135,6 +135,28 @@ def test_until_takes_one_view_of_each_operand(monkeypatch):
     assert sorted(widths) == [101, 151]
 
 
+def test_until_under_min_max_takes_every_prefix_from_one_running_extremum(monkeypatch):
+    """Space, the Boolean oracle and time reduce no prefix on its own; a
+    smoothed semantics reduces each of the 151 and stacks them once."""
+    columns = []
+    stack = semantics._stack
+
+    def counting_stack(cols):
+        columns.append(len(cols))
+        return stack(cols)
+
+    monkeypatch.setattr(semantics, "_stack", counting_stack)
+    x = long_trace()
+    for text in ("(x > -0.9 U[0,1.5] y > 0.4)", "!(x > -0.9 U[0,1.5] y > 0.4)"):
+        f = parse_formula(text)
+        evaluate(MetricConfig("space"), f, x, 0.0)
+        satisfies(f, x, 0.0)
+        evaluate(MetricConfig("time"), f, x, 0.0)
+    assert columns == []
+    evaluate(MetricConfig("lse", k=K), parse_formula("(x > -0.9 U[0,1.5] y > 0.4)"), x, 0.0)
+    assert columns == [151]
+
+
 @pytest.mark.parametrize("width", [1, 2, 7, 21])
 @pytest.mark.parametrize("contiguous", [True, False])
 def test_windows_equal_sliding_window_view(width, contiguous):
