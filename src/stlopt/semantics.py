@@ -43,11 +43,13 @@ value below the space value on every formula, negations included.  The
 averaging semantics negates the value instead: its temporal steps have no
 dual.
 
-Every finite trace value, threshold and hyperparameter is accepted.  evaluate
-and satisfies run the whole walk under one np.errstate that ignores overflow,
-division by zero and invalid values, so the walk's aggregator kernels open
-none of their own: an exponential term that overflows has zero weight, and a
-value that is not finite at the end is an EvaluationError.
+The four smoothed semantics differ only in that pair: one table row per kind
+names its two kernels in stlopt.aggregators, looked up there when evaluate
+builds the hooks, and the MetricConfig field that scales both.  Every finite
+trace value, threshold and hyperparameter is accepted: evaluate and satisfies
+run the whole walk under one np.errstate that ignores overflow, division by
+zero and invalid values, so an overflowing exponential term has zero weight,
+and a value that is not finite at the end is an EvaluationError.
 """
 
 from __future__ import annotations
@@ -107,8 +109,15 @@ class MetricConfig:
                 _check_positive_finite(f"agm scale for {name!r}", scale)
 
 
+# per smoothed kind: its conj and disj kernels in stlopt.aggregators and the field scaling both
+_SMOOTHED = {
+    "lse": ("_lse_min", "_lse_max", "k"),  # log-sum-exp smoothing of space; smooth but not sound
+    "smooth": ("_lse_min", "_smooth_max", "k"),  # under-approximating: never exceeds space
+    "new": ("_new_and", "_new_or", "nu"),  # scale-invariant weighted average; sign matches space
+    "agm": ("_agm_and", "_agm_or", None),  # margins normalized to [-1, 1] per channel
+}
 # the kinds that read each scalar hyperparameter
-_READ_BY = {"k": ("lse", "smooth"), "nu": ("new",)}
+_READ_BY = {f: tuple(kind for kind, row in _SMOOTHED.items() if row[2] == f) for f in ("k", "nu")}
 
 
 def check_hyperparameters_read(cfg: MetricConfig, prefix: str = "metric.") -> None:
@@ -288,24 +297,16 @@ def time_robustness_plus(f: Formula, x: Trace, t: float) -> float:
 
 def _semantics(cfg: MetricConfig, f: Formula) -> _Semantics:
     """The walker hooks of every semantics but time, once f is checked for it."""
-    k, nu = cfg.k, cfg.nu
     if cfg.kind == "space":  # classical min/max; sign certifies Boolean satisfaction
         return _SPACE
     if cfg.kind == "avg":  # temporal operators wrap only Boolean combinations
         _validate_avg(f)
         return _AVG
-    if cfg.kind == "lse":  # log-sum-exp smoothing of space; smooth but not sound
-        return _Semantics(
-            Pred.margin, lambda v: agg.softmin_lse(v, k), lambda v: agg.softmax_lse(v, k)
-        )
-    if cfg.kind == "smooth":  # under-approximating: never exceeds space
-        return _Semantics(
-            Pred.margin, lambda v: agg.smooth_min(v, k), lambda v: agg.smooth_max(v, k)
-        )
-    if cfg.kind == "new":  # scale-invariant weighted average; sign matches space
-        return _Semantics(
-            Pred.margin, lambda v: agg._new_and(v, nu), lambda v: agg._new_or(v, nu)
-        )
+    conj, disj, field = _SMOOTHED[cfg.kind]
+    conj, disj = getattr(agg, conj), getattr(agg, disj)
+    if field is not None:
+        scale = {field: getattr(cfg, field)}
+        return _Semantics(Pred.margin, partial(conj, **scale), partial(disj, **scale))
     scales = cfg.agm_scales or {}
     missing = sorted(c for c in channels(f) if c not in scales)
     if missing:
@@ -314,7 +315,7 @@ def _semantics(cfg: MetricConfig, f: Formula) -> _Semantics:
     def pred(p: Pred, column: np.ndarray) -> np.ndarray:
         return np.clip(p.margin(column) / scales[p.channel], -1.0, 1.0)
 
-    return _Semantics(pred, agg._agm_and, agg._agm_or)
+    return _Semantics(pred, conj, disj)
 
 
 def evaluate(cfg: MetricConfig, f: Formula, x: Trace, t: float) -> RobustnessValue:

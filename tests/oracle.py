@@ -62,10 +62,14 @@ def ref_smooth_max(values, k):
     return _ref_result(np.sum(v * w, axis=-1) / np.sum(w, axis=-1))
 
 
-def ref_agm_and(values):
-    v = _ref_as_array(values)
+def _ref_agm_domain(v):
     if np.any(v < -1 - _AGM_TOL) or np.any(v > 1 + _AGM_TOL):
         raise AgmDomainError(f"agm input out of [-1, 1]: {v[np.abs(v) > 1].tolist()}")
+
+
+def ref_agm_and(values):
+    v = _ref_as_array(values)
+    _ref_agm_domain(v)
     v = np.clip(v, -1.0, 1.0)
     with np.errstate(divide="ignore"):
         geometric = np.expm1(np.mean(np.log1p(v), axis=-1))
@@ -74,7 +78,9 @@ def ref_agm_and(values):
 
 
 def ref_agm_or(values):
-    return -ref_agm_and(-_ref_as_array(values))
+    v = _ref_as_array(values)
+    _ref_agm_domain(v)  # the error names the values passed, not their negations
+    return -ref_agm_and(-v)
 
 
 def ref_new_and(values, nu):

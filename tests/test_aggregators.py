@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -47,6 +48,8 @@ def test_agm_closed_forms():
 def test_agm_domain_error():
     with pytest.raises(AgmDomainError, match=r"out of \[-1, 1\]"):
         agm_and([1.5, 0.5])
+    with pytest.raises(AgmDomainError, match=r": \[1\.5\]$"):  # the values passed, not -v
+        agm_or([1.5, 0.2])
 
 
 def test_new_closed_forms():
@@ -174,9 +177,16 @@ def _walk_kernel(fn):
 
 
 _EXACT += [
-    (f"walk_{name}", _walk_kernel(getattr(aggregators, f"_{name}")), getattr(oracle, f"ref_{name}"),
-     arg)
-    for name, arg in (("agm_and", None), ("agm_or", None), ("new_and", 2.0), ("new_or", 0.5))
+    (f"walk{kernel}", _walk_kernel(getattr(aggregators, kernel)), getattr(oracle, ref), arg)
+    for kernel, ref, arg in (
+        ("_lse_min", "ref_softmin_lse", 10.0),
+        ("_lse_max", "ref_softmax_lse", 3.0),
+        ("_smooth_max", "ref_smooth_max", 1e3),
+        ("_agm_and", "ref_agm_and", None),
+        ("_agm_or", "ref_agm_or", None),
+        ("_new_and", "ref_new_and", 2.0),
+        ("_new_or", "ref_new_or", 0.5),
+    )
 ]
 # numpy sums 8 terms at a time up to 128 and splits longer rows in halves
 _LENGTHS = list(range(1, 21)) + [64, 127, 128, 129, 200]
@@ -238,4 +248,36 @@ def test_agm_domain_check_equals_its_reference(fn, ref):
     for row in ([1 + 1e-9, -1 - 1e-9], [np.nan, 0.5], [0.5, np.nan], [np.nan, np.nan]):
         # at the tolerance, and NaN, pass the check in both
         got, want = fn(row), ref(row)
+        assert np.array_equal(got, want, equal_nan=True)
+
+
+# each public aggregator, its kernel and its scale (None: agm, which has none)
+_KERNELS = {
+    "softmax_lse": ("_lse_max", 10.0),
+    "softmin_lse": ("_lse_min", 10.0),
+    "smooth_min": ("_lse_min", 10.0),
+    "smooth_max": ("_smooth_max", 10.0),
+    "agm_and": ("_agm_and", None),
+    "agm_or": ("_agm_or", None),
+    "new_and": ("_new_and", 2.0),
+    "new_or": ("_new_or", 2.0),
+}
+
+
+@pytest.mark.parametrize("name", _KERNELS)
+def test_public_aggregators_take_the_float_range_without_a_warning(name):
+    """At +-1e308 (agm: the same rows over 1e308, at +-1) every public name
+    stays as silent as evaluate and gives its kernel's value in the walk."""
+    kernel, arg = _KERNELS[name]
+    fn, walk = getattr(aggregators, name), _walk_kernel(getattr(aggregators, kernel))
+    block = np.array([[1e308, -1e308], [-1e308, 1e308], [1e308, 1e308], [-1e308, -1e308],
+                      [1e308, 0.0], [-1e308, 0.0]])
+    if arg is None:
+        block = block / 1e308
+    for values in [*block, block]:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _call(fn, arg, values)
+        want = _call(walk, arg, values)
+        assert type(got) is type(want)
         assert np.array_equal(got, want, equal_nan=True)

@@ -16,6 +16,7 @@ from stlopt import (
     InsufficientHorizonError,
     MetricConfig,
     Trace,
+    aggregators,
     benchmark_eq2,
     evaluate,
     horizon,
@@ -318,3 +319,29 @@ def test_nothing_in_semantics_folds_the_horizon(monkeypatch):
     satisfies(f, x, 0.0)
     for kind in ("time",) + WALKED:
         evaluate(MetricConfig(kind, agm_scales=SCALES), f, x, 0.0)
+
+
+def test_the_walk_calls_the_kernels_and_no_public_aggregator(monkeypatch):
+    """The smoothed semantics reach stlopt.aggregators only through its
+    kernels, looked up on the module when evaluate builds the hooks."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the walk called a public aggregator")
+
+    for name in ("softmax_lse", "softmin_lse", "smooth_min", "smooth_max",
+                 "agm_and", "agm_or", "new_and", "new_or"):
+        monkeypatch.setattr(aggregators, name, refuse)
+    shapes = []
+    lse_min = aggregators._lse_min
+
+    def counting_lse_min(v, k):
+        shapes.append(v.shape)
+        return lse_min(v, k)
+
+    monkeypatch.setattr(aggregators, "_lse_min", counting_lse_min)
+    rng = np.random.default_rng(5)
+    for _ in range(8):
+        f, x = random_instance(rng)
+        for kind in ("lse", "smooth", "new", "agm"):
+            evaluate(MetricConfig(kind, agm_scales=SCALES), f, x, 0.0)
+    assert shapes
