@@ -24,8 +24,11 @@ work.  So before the pairs each tree runs each workload once with
 minor_faults_net is each run's count less them.  A claimed metric is met
 when there are at least ten pairs, the change wins at least nine tenths of
 them and its median beats the parent's by more than the parent's
-interquartile range.  The run length T and the direction in which
-each metric is better come from the parent tree's BENCHMARK.json.
+interquartile range.  The run length T, the direction in which each
+metric is better and each end-to-end metric's bound come from the parent
+tree's BENCHMARK.json; a metric whose change median is worse than the
+parent's by more than its bound (relative to the parent median) is marked
+beyond_bound.
 """
 
 from __future__ import annotations
@@ -53,22 +56,28 @@ def quartiles(values) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def summarize(parent, change, better: str) -> dict:
-    """Both sides of one metric over the same pairs, in pair order."""
+def summarize(parent, change, better: str, bound: float | None = None) -> dict:
+    """Both sides of one metric over the same pairs, in pair order.  With the
+    metric's relative bound, beyond_bound says whether the change's median
+    is worse than the parent's by more than it."""
     if len(parent) != len(change) or not parent:
         raise ValueError("need the same positive number of runs on both sides")
     sign = 1.0 if better == "lower" else -1.0
     p, c = quartiles(parent), quartiles(change)
     wins = sum(sign * (a - b) > 0 for a, b in zip(parent, change))
     base = p["median"]
-    return {
+    gap = sign * (base - c["median"])
+    summary = {
         "parent": {k: round(v, 6) for k, v in p.items()},
         "change": {k: round(v, 6) for k, v in c.items()},
         "change_wins": wins,
         "rel_change": round((c["median"] - base) / base, 4) if base else None,
         "parent_iqr": round(p["q3"] - p["q1"], 6),
-        "median_gap": round(sign * (base - c["median"]), 6),
+        "median_gap": round(gap, 6),
     }
+    if bound is not None:
+        summary["beyond_bound"] = -gap > bound * abs(base)
+    return summary
 
 
 def claim_met(summary: dict, pairs: int) -> bool:
@@ -107,6 +116,7 @@ def main(argv=None) -> int:
     spec = json.loads((args.parent / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"]
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     # checked before the first run, so a typo cannot cost a whole series
     if args.claim:
         claimed, _, metric = args.claim.partition(":")
@@ -126,7 +136,9 @@ def main(argv=None) -> int:
                   "the side that runs first alternating (scripts/ab_pairs.py). Each entry: median "
                   "and inclusive quartiles over the runs per side, change_wins = pairs the change "
                   "wins (ties count for neither), rel_change = (change median - parent median) / "
-                  "parent median, median_gap = the change's improvement of the median. minor_faults: "
+                  "parent median, median_gap = the change's improvement of the median, beyond_bound = "
+                  "the change's median is worse than the parent's by more than the metric's "
+                  "BENCHMARK.json bound, relative to the parent median. minor_faults: "
                   "each run's growth of getrusage(RUSAGE_CHILDREN).ru_minflt, the runner and its "
                   "CLI processes together; median and quartiles per side, never a claim metric. "
                   "startup_faults: the faults of one --seconds 0.01 run of each tree, made before "
@@ -155,7 +167,7 @@ def main(argv=None) -> int:
         for name in runs[0]["parent"]["values"]:
             entry[name] = summarize([r["parent"]["values"][name] for r in runs],
                                     [r["change"]["values"][name] for r in runs],
-                                    better.get(name, "lower"))
+                                    better.get(name, "lower"), bounds.get(name))
         entry["startup_faults"] = startup
         entry["minor_faults"] = {s: quartiles([r[s]["minor_faults"] for r in runs]) for s in sides}
         entry["minor_faults_net"] = {
@@ -173,12 +185,21 @@ def main(argv=None) -> int:
             "metric": metric,
             "parent_median": s["parent"]["median"],
             "change_median": s["change"]["median"],
+            "rel_change": s["rel_change"],
             "change_wins": s["change_wins"],
             "pairs": workloads[workload]["pairs"],
             "median_gap": s["median_gap"],
             "parent_iqr": s["parent_iqr"],
             "met": claim_met(s, workloads[workload]["pairs"]),
         }
+        c = report["claim"]
+        print(f"claim {args.claim}: rel_change {c['rel_change']}, {c['change_wins']}/{c['pairs']}"
+              f" pairs won, met {c['met']}", file=sys.stderr)
+    for workload, entry in workloads.items():
+        for name, s in entry.items():
+            if isinstance(s, dict) and s.get("beyond_bound"):
+                print(f"{workload} {name}: rel_change {s['rel_change']} is beyond its bound",
+                      file=sys.stderr)
     report["workloads"] = workloads
     path = args.out / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(report, indent=1) + "\n")

@@ -12,6 +12,17 @@ np.errstate: evaluate runs the whole walk under one and rejects a value that
 is not finite.  The eight public functions are the kernels behind one check:
 a non-empty float input, agm's in [-1, 1] (the walk's agm predicate map
 clips), the walk's errstate, and a float for a 1-D input.
+
+Until reduces every prefix of a block of rows, and lse, smooth and agm do it
+in one pass: each has a prefix form (_lse_max_prefix, _smooth_max_prefix,
+_agm_and_prefix, and each dual as -form(-v)) whose column d - da is the
+kernel over the first d + 1 columns.  A form builds each term with the same
+elementwise operations as one kernel call (lse and smooth shift by the
+running max and build a triangle of exp(k * (v - shift)), a block of
+prefixes at a time; agm's terms do not depend on the prefix, so one row of
+them serves all), and sums with _pairwise_sums, one np.add.reduce per
+prefix over its own terms, so every value is bit-identical to the
+kernel's.  new has no prefix form.
 """
 
 from __future__ import annotations
@@ -127,3 +138,65 @@ def _new_and(v: np.ndarray, nu: float) -> np.ndarray:
 
 def _new_or(v: np.ndarray, nu: float) -> np.ndarray:
     return -_new_and(-v, nu)
+
+
+# Prefix forms ---------------------------------------------------------------
+
+_BLOCK_BYTES = 96 * 1024  # a block's temporaries stay below glibc's 128 KB mmap threshold
+
+
+def _pairwise_sums(terms: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """out[..., i] = np.add.reduce(terms[..., i, :lengths[i]], axis=-1): one
+    reduction per length, so each sum is numpy's own pairwise sum, bit for
+    bit.  terms has one row per length, or one row that every length reads;
+    terms past a row's length never reach its sum."""
+    shared = terms.shape[-2] == 1
+    return np.stack([np.add.reduce(terms[..., 0 if shared else i, :m], axis=-1)
+                     for i, m in enumerate(lengths.tolist())], axis=-1)
+
+
+def _max_shifted(v: np.ndarray, da: int, k: float):
+    """Per block of prefix lengths da+1 .. W: its lengths, each prefix's max
+    (the shift) and the triangle exp(k * (v - shift)) over the block's
+    widest prefix.  A block's triangle fits in _BLOCK_BYTES but holds at
+    least one prefix: a block of many rows then takes one prefix at a time,
+    as a kernel call per prefix would."""
+    n, w = v.shape
+    step = max(1, _BLOCK_BYTES // (n * 8 * w))
+    shifts = np.maximum.accumulate(v, axis=-1)
+    for lo in range(da + 1, w + 1, step):
+        hi = min(lo + step, w + 1)
+        shift = shifts[:, lo - 1 : hi - 1]
+        yield np.arange(lo, hi), shift, np.exp(k * (v[:, None, : hi - 1] - shift[..., None]))
+
+
+def _lse_max_prefix(v: np.ndarray, da: int, k: float) -> np.ndarray:
+    """Column d - da is _lse_max(v[:, : d + 1], k), for d = da .. W-1."""
+    return np.hstack([shift + np.log(_pairwise_sums(w, lengths)) / k
+                      for lengths, shift, w in _max_shifted(v, da, k)])
+
+
+def _lse_min_prefix(v: np.ndarray, da: int, k: float) -> np.ndarray:
+    return -_lse_max_prefix(-v, da, k)
+
+
+def _smooth_max_prefix(v: np.ndarray, da: int, k: float) -> np.ndarray:
+    """Column d - da is _smooth_max(v[:, : d + 1], k), for d = da .. W-1."""
+    return np.hstack([
+        _pairwise_sums(v[:, None, : w.shape[-1]] * w, lengths) / _pairwise_sums(w, lengths)
+        for lengths, _, w in _max_shifted(v, da, k)
+    ])
+
+
+def _agm_and_prefix(v: np.ndarray, da: int) -> np.ndarray:
+    """Column d - da is _agm_and(v[:, : d + 1]), for d = da .. W-1: its terms
+    do not depend on the prefix, so one row of them serves every prefix."""
+    v = np.minimum(np.maximum(v, -1.0), 1.0)
+    m = np.arange(da + 1, v.shape[-1] + 1)
+    geometric = np.expm1(_pairwise_sums(np.log1p(v)[:, None, :], m) / m)
+    violation = _pairwise_sums(np.minimum(v, 0.0)[:, None, :], m) / m
+    return np.where(np.logical_and.accumulate(v > 0, axis=-1)[:, da:], geometric, violation)
+
+
+def _agm_or_prefix(v: np.ndarray, da: int) -> np.ndarray:
+    return -_agm_and_prefix(-v, da)

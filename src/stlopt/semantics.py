@@ -13,14 +13,16 @@ the exact max, under negation), every prefix comes from one running
 extremum along the view (np.minimum.accumulate), as in Donzé, Ferrère &
 Maler; that serves space, the Boolean oracle and time robustness's scan,
 and the values are those of separate reductions because min and max are
-exact.  The smoothed semantics reduce each prefix whole, one call per
-window offset: a running or segmented sum groups a prefix's terms
-differently from numpy's pairwise sum over it, so the value would move in
-the last bits.  Window offsets come from window_indices once per temporal
-node: on a uniform grid they are the same at every index.  The walk runs
-once per node on windows of 11-21 samples in the eq2 task, where numpy's
-Python-level wrappers cost more than the arithmetic, so it builds strided
-views and calls ufunc methods directly.
+exact.  Under lse, smooth and agm a prefix form in stlopt.aggregators
+builds every prefix's terms in one blocked pass and sums each prefix with
+its own np.add.reduce, so the values are again those of separate
+reductions; a running sum would group the terms differently from numpy's
+pairwise sum and move the last bits.  Only new reduces each prefix whole,
+one kernel call per window offset.  Window offsets come from window_indices
+once per temporal node: on a uniform grid they are the same at every
+index.  The walk runs once per node on windows of 11-21 samples in the eq2
+task, where numpy's Python-level wrappers cost more than the arithmetic,
+so it builds strided views and calls ufunc methods directly.
 A semantics is a predicate map plus a conjunction/disjunction pair that
 reduces the last axis of an array; the Boolean oracle is the same walk over
 +-1 predicate values with min/max.
@@ -44,12 +46,13 @@ averaging semantics negates the value instead: its temporal steps have no
 dual.
 
 The four smoothed semantics differ only in that pair: one table row per kind
-names its two kernels in stlopt.aggregators, looked up there when evaluate
-builds the hooks, and the MetricConfig field that scales both.  Every finite
-trace value, threshold and hyperparameter is accepted: evaluate and satisfies
-run the whole walk under one np.errstate that ignores overflow, division by
-zero and invalid values, so an overflowing exponential term has zero weight,
-and a value that is not finite at the end is an EvaluationError.
+names its two kernels in stlopt.aggregators and their prefix forms for
+Until, looked up there when evaluate builds the hooks, and the
+MetricConfig field that scales them.  Every finite trace value, threshold
+and hyperparameter is accepted: evaluate and satisfies run the whole walk
+under one np.errstate that ignores overflow, division by zero and invalid
+values, so an overflowing exponential term has zero weight, and a value
+that is not finite at the end is an EvaluationError.
 """
 
 from __future__ import annotations
@@ -109,15 +112,20 @@ class MetricConfig:
                 _check_positive_finite(f"agm scale for {name!r}", scale)
 
 
-# per smoothed kind: its conj and disj kernels in stlopt.aggregators and the field scaling both
+# per smoothed kind: its conj and disj kernels in stlopt.aggregators, their
+# prefix forms for Until (None: a kernel call per prefix) and the field scaling all
 _SMOOTHED = {
-    "lse": ("_lse_min", "_lse_max", "k"),  # log-sum-exp smoothing of space; smooth but not sound
-    "smooth": ("_lse_min", "_smooth_max", "k"),  # under-approximating: never exceeds space
-    "new": ("_new_and", "_new_or", "nu"),  # scale-invariant weighted average; sign matches space
-    "agm": ("_agm_and", "_agm_or", None),  # margins normalized to [-1, 1] per channel
+    # log-sum-exp smoothing of space; smooth but not sound
+    "lse": ("_lse_min", "_lse_max", "_lse_min_prefix", "_lse_max_prefix", "k"),
+    # under-approximating: never exceeds space
+    "smooth": ("_lse_min", "_smooth_max", "_lse_min_prefix", "_smooth_max_prefix", "k"),
+    # scale-invariant weighted average; sign matches space
+    "new": ("_new_and", "_new_or", None, None, "nu"),
+    # margins normalized to [-1, 1] per channel
+    "agm": ("_agm_and", "_agm_or", "_agm_and_prefix", "_agm_or_prefix", None),
 }
 # the kinds that read each scalar hyperparameter
-_READ_BY = {f: tuple(kind for kind, row in _SMOOTHED.items() if row[2] == f) for f in ("k", "nu")}
+_READ_BY = {f: tuple(kind for kind, row in _SMOOTHED.items() if row[-1] == f) for f in ("k", "nu")}
 
 
 def check_hyperparameters_read(cfg: MetricConfig, prefix: str = "metric.") -> None:
@@ -150,14 +158,19 @@ class _Semantics:
     """What one semantics does at each node; the walker does the rest.
 
     pred maps a predicate and a slice of its channel to values; conj and
-    disj reduce the last axis of an array.  always and eventually, when set,
-    reduce the windows of G and F instead of conj and disj, and polar=False
-    negates values instead of using the polarity flag.
+    disj reduce the last axis of an array.  conj_prefix(spans, da), when
+    set, is the block whose column d - da is conj over the first d + 1
+    columns of spans, for d = da .. W-1, and disj_prefix likewise; Until
+    reduces each prefix with conj (or disj) when it is None.  always and
+    eventually, when set, reduce the windows of G and F instead of conj and
+    disj, and polar=False negates values instead of using the polarity flag.
     """
 
     pred: Callable[[Pred, np.ndarray], np.ndarray]
     conj: Callable[[np.ndarray], np.ndarray]
     disj: Callable[[np.ndarray], np.ndarray]
+    conj_prefix: Callable[[np.ndarray, int], np.ndarray] | None = None
+    disj_prefix: Callable[[np.ndarray, int], np.ndarray] | None = None
     always: Callable[[np.ndarray], np.ndarray] | None = None
     eventually: Callable[[np.ndarray], np.ndarray] | None = None
     polar: bool = True
@@ -213,9 +226,9 @@ def _walk(f: Formula, x: Trace, lo: int, hi: int, sem: _Semantics, positive=True
         # spans[i] is lhs over lo+i .. lo+i+db (lhs covers lo..hi+db, so n
         # rows); prefix[i, d - da] reduces its first d + 1 columns
         spans = _windows(lhs, db + 1)
-        running = _RUNNING.get(conj)
-        if running is not None:
-            prefix = running.accumulate(spans, axis=-1)[:, da:]
+        form = sem.conj_prefix if positive else sem.disj_prefix
+        if form is not None:
+            prefix = form(spans, da)
         else:
             prefix = _stack([conj(spans[:, : d + 1]) for d in range(da, db + 1)])
         pairs = np.stack([_windows(rhs, db - da + 1), prefix], axis=-1)
@@ -234,9 +247,21 @@ def _value(f: Formula, x: Trace, t: float, sem: _Semantics) -> float:
 
 _min = partial(np.minimum.reduce, axis=-1)
 _max = partial(np.maximum.reduce, axis=-1)
-_RUNNING = {_min: np.minimum, _max: np.maximum}  # Until's prefixes in one pass
-_BOOLEAN = _Semantics(lambda p, column: np.where(p.holds(column), 1.0, -1.0), _min, _max)
-_SPACE = _Semantics(Pred.margin, _min, _max)
+
+
+def _min_prefix(spans: np.ndarray, da: int) -> np.ndarray:
+    """Until's prefixes under min: one running minimum along the view."""
+    return np.minimum.accumulate(spans, axis=-1)[:, da:]
+
+
+def _max_prefix(spans: np.ndarray, da: int) -> np.ndarray:
+    return np.maximum.accumulate(spans, axis=-1)[:, da:]
+
+
+_BOOLEAN = _Semantics(
+    lambda p, column: np.where(p.holds(column), 1.0, -1.0), _min, _max, _min_prefix, _max_prefix
+)
+_SPACE = _Semantics(Pred.margin, _min, _max, _min_prefix, _max_prefix)
 
 
 # Boolean oracle ---------------------------------------------------------
@@ -271,7 +296,9 @@ def _avg_always(windows: np.ndarray) -> np.ndarray:
 
 
 # eventualities report the mean of the satisfying part
-_AVG = _Semantics(Pred.margin, _min, _max, _avg_always, _avg_eventually, polar=False)
+_AVG = _Semantics(
+    Pred.margin, _min, _max, always=_avg_always, eventually=_avg_eventually, polar=False
+)
 
 
 # Time robustness ----------------------------------------------------------
@@ -302,11 +329,12 @@ def _semantics(cfg: MetricConfig, f: Formula) -> _Semantics:
     if cfg.kind == "avg":  # temporal operators wrap only Boolean combinations
         _validate_avg(f)
         return _AVG
-    conj, disj, field = _SMOOTHED[cfg.kind]
-    conj, disj = getattr(agg, conj), getattr(agg, disj)
+    *names, field = _SMOOTHED[cfg.kind]
+    hooks = [None if name is None else getattr(agg, name) for name in names]
     if field is not None:
         scale = {field: getattr(cfg, field)}
-        return _Semantics(Pred.margin, partial(conj, **scale), partial(disj, **scale))
+        hooks = [None if hook is None else partial(hook, **scale) for hook in hooks]
+        return _Semantics(Pred.margin, *hooks)
     scales = cfg.agm_scales or {}
     missing = sorted(c for c in channels(f) if c not in scales)
     if missing:
@@ -315,7 +343,7 @@ def _semantics(cfg: MetricConfig, f: Formula) -> _Semantics:
     def pred(p: Pred, column: np.ndarray) -> np.ndarray:
         return np.clip(p.margin(column) / scales[p.channel], -1.0, 1.0)
 
-    return _Semantics(pred, conj, disj)
+    return _Semantics(pred, *hooks)
 
 
 def evaluate(cfg: MetricConfig, f: Formula, x: Trace, t: float) -> RobustnessValue:

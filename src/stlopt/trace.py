@@ -187,13 +187,46 @@ def load_trace_csv(path: str) -> Trace:
 def _written_step(times: np.ndarray, dt: float) -> float:
     """The step with which save_trace_csv would write exactly these times,
     times[0] + step * k: the shortest decimal rounding of the decimal dt that
-    does, else times[1] - times[0] if it does, else dt.  A seven-row 0.1 grid
-    from t0 = 0.3 reloads with dt 0.1 although its decimals give
-    0.10000000000000002; a step with no short decimal (1/3) can be lost,
-    since several steps then write the same times."""
+    does, else times[1] - times[0] if it does.  Else, unless every time is a
+    short decimal (at most 12 significant digits, which a written float time
+    almost never is) as in a hand-made 0.7, 1.4, 2.1, the steps that write
+    every time form an interval, since each written time grows with the
+    step: it is bisected for between dt/2 and 2dt, and the shortest decimal
+    inside it is taken, or its lower end.  A hand-made file, or one that no
+    step writes, keeps the decimal dt."""
     k = np.arange(len(times))
     steps = [float(f"{dt:.{digits}g}") for digits in range(1, 18)] + [float(times[1] - times[0])]
-    return next((s for s in steps if np.array_equal(times[0] + s * k, times)), dt)
+    found = next((s for s in steps if np.array_equal(times[0] + s * k, times)), None)
+    if found is not None:
+        return found
+    if all(float(f"{t:.12g}") == t for t in times.tolist()):
+        return dt
+    lo = _first_step(lambda s: np.all(times[0] + s * k >= times), dt / 2, 2 * dt)
+    hi = _first_step(lambda s: not np.all(times[0] + s * k <= times), dt / 2, 2 * dt)
+    if not np.array_equal(times[0] + lo * k, times):
+        return dt
+    from decimal import ROUND_CEILING, Context, Decimal  # here: only a fallback needs it
+
+    for digits in range(1, 17):  # 17 digits name every float: lo itself
+        short = float(Context(prec=digits, rounding=ROUND_CEILING).plus(Decimal(lo)))
+        if short < hi:
+            return short
+    return lo
+
+
+def _first_step(holds, lo: float, hi: float) -> float:
+    """The least float s in [lo, hi] for which holds(s), or hi, given that
+    holds is monotone in s.  Positive floats order as their bit patterns,
+    whose midpoints are taken on Python ints: numpy's int64 sum of two of
+    them overflows from 2.0 up."""
+    a, b = (int(np.float64(x).view(np.int64)) for x in (lo, hi))
+    while a < b:
+        mid = (a + b) // 2
+        if holds(float(np.int64(mid).view(np.float64))):
+            b = mid
+        else:
+            a = mid + 1
+    return float(np.int64(a).view(np.float64))
 
 
 def save_trace_csv(trace: Trace, path: str) -> None:

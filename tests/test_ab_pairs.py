@@ -165,3 +165,23 @@ def test_run_once_counts_the_minor_faults_of_the_benchmark_process(tmp_path):
     busy = ab_pairs.run_once(tree("busy", "block = b'x' * (64 << 20)"), "w", 0, 1.0)
     assert idle["values"] == busy["values"] == {"wall_s": 0.5}
     assert busy["minor_faults"] - idle["minor_faults"] >= 32
+
+
+@pytest.mark.parametrize("rise,flagged", [(0.102, True), (0.09, False)])
+def test_a_metric_worse_than_its_bound_is_flagged(tmp_path, monkeypatch, rise, flagged):
+    """peak_rss_mb (bound 10%) 10.2% higher, as in a refused change, is
+    beyond its bound; 9% higher is not.  The claim block gives rel_change."""
+    def run_once(tree, workload, seed, seconds):
+        worse = Path(tree).name == "change"
+        return {"correct": True, "minor_faults": 0,
+                "values": {"wall_s": 0.5 if worse else 1.0,
+                           "peak_rss_mb": 70.0 * (1 + rise) if worse else 70.0}}
+
+    monkeypatch.setattr(ab_pairs, "run_once", run_once)
+    args = trees(tmp_path) + ["--claim", "eq2-sweep:wall_s", "--out", str(tmp_path)]
+    assert ab_pairs.main(args) == 0
+    report = json.loads((tmp_path / "BENCH_t.json").read_text())
+    entry = report["workloads"]["eq2-sweep"]
+    assert entry["peak_rss_mb"]["beyond_bound"] is flagged
+    assert entry["wall_s"]["beyond_bound"] is False
+    assert report["claim"]["rel_change"] == -0.5

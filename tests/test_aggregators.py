@@ -17,7 +17,7 @@ from stlopt import (
     softmax_lse,
     softmin_lse,
 )
-from stlopt import aggregators
+from stlopt import aggregators, semantics
 
 import oracle
 
@@ -281,3 +281,81 @@ def test_public_aggregators_take_the_float_range_without_a_warning(name):
         want = _call(walk, arg, values)
         assert type(got) is type(want)
         assert np.array_equal(got, want, equal_nan=True)
+
+
+# Prefix forms ----------------------------------------------------------------
+
+
+def _assert_same_bits(got, want):
+    """Equal values and signs of zero; a NaN's sign follows the operand order
+    the compiled loop picks, and no output shows it."""
+    assert got.shape == want.shape
+    assert np.array_equal(got, want, equal_nan=True)
+    number = ~np.isnan(want)
+    assert np.array_equal(np.signbit(got[number]), np.signbit(want[number]))
+
+
+def _reduce_each(terms, lengths):
+    """The reference: np.add.reduce over each row's first L terms, copied."""
+    rows = terms if terms.shape[-2] > 1 else np.repeat(terms, len(lengths), axis=-2)
+    return np.stack([np.add.reduce(rows[..., i, :m].copy(), axis=-1)
+                     for i, m in enumerate(lengths)], axis=-1)
+
+
+def test_pairwise_sums_equal_np_add_reduce():
+    """Lengths on both sides of numpy's pairwise boundaries (8, 128 and
+    256), on one row per length and on one row that every length reads."""
+    rng = np.random.default_rng(28)
+    width = 399
+    lengths = np.arange(1, width + 1)
+    mixed = rng.standard_normal((3, width)) * 10.0 ** rng.integers(-8, 17, (3, width))
+    extreme = rng.choice([1e308, -1e308, np.inf, -np.inf, np.nan, 1.0, -0.0], (3, width))
+    for terms in (rng.uniform(-1, 1, (3, width)), mixed, extreme):
+        with np.errstate(over="ignore", invalid="ignore"):
+            _assert_same_bits(aggregators._pairwise_sums(terms[:, None, :], lengths),
+                              _reduce_each(terms[:, None, :], lengths))
+            for _ in range(5):  # a block whose rows each have a length
+                block_lengths = rng.integers(1, width + 1, int(rng.integers(1, 40)))
+                block = rng.choice(terms.ravel(), (2, len(block_lengths), width))
+                _assert_same_bits(aggregators._pairwise_sums(block, block_lengths),
+                                  _reduce_each(block, block_lengths))
+
+
+@pytest.mark.parametrize("width", [1, 5, 7, 8, 9, 16, 130, 300])
+def test_pairwise_sums_of_negative_zeros_equal_np_add_reduce(width):
+    """Only -0.0: the sign numpy gives, short rows and long ones alike."""
+    terms = np.full((2, 1, width), -0.0)
+    lengths = np.arange(1, width + 1)
+    _assert_same_bits(aggregators._pairwise_sums(terms, lengths), _reduce_each(terms, lengths))
+
+
+_PREFIX_FORMS = [
+    ("_lse_max", "_lse_max_prefix"),
+    ("_lse_min", "_lse_min_prefix"),
+    ("_smooth_max", "_smooth_max_prefix"),
+    ("_agm_and", "_agm_and_prefix"),
+    ("_agm_or", "_agm_or_prefix"),
+]
+
+
+@pytest.mark.parametrize("kernel,form", _PREFIX_FORMS)
+def test_prefix_forms_equal_a_kernel_call_per_prefix(kernel, form):
+    """Column d - da of form(spans, da) == kernel(spans[:, : d + 1]), as the
+    walk's Until reduced each window offset's prefix before."""
+    kernel, form = getattr(aggregators, kernel), getattr(aggregators, form)
+    scales = (None,) if "agm" in form.__name__ else (1e-3, 10.0, 1e3, 1e305)
+    rng = np.random.default_rng(len(form.__name__))
+    for case in range(24):
+        width = int(rng.choice([1, 2, 7, 8, 9, 64, 129, 151, 257, 300]))
+        n = int(rng.integers(1, 5))
+        lhs = rng.uniform(-1.2, 1.2, n + width - 1) * 10.0 ** rng.integers(-3, 4)
+        if case % 3 == 0:
+            lhs[rng.random(len(lhs)) < 0.2] = rng.choice([1e308, -1e308])
+        spans = semantics._windows(lhs, width)
+        for da in sorted({0, int(rng.integers(width)), width - 1}):
+            for k in scales:
+                arg = () if k is None else (k,)
+                with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+                    want = np.stack([kernel(spans[:, : d + 1], *arg) for d in range(da, width)], -1)
+                    got = form(spans, da, *arg)
+                _assert_same_bits(got, want)

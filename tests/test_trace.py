@@ -271,6 +271,43 @@ def test_csv_roundtrip_keeps_t0_dt_and_samples(tmp_path):
     assert load_trace_csv(path).dt == trace.dt
 
 
+def test_csv_resave_is_idempotent_on_random_grids(tmp_path):
+    """save -> load -> save writes the same bytes, also where no decimal
+    rounding of the step and no first difference writes the file's times
+    (t0 = 14.4, dt = 6.750222359845689, n = 7 reloaded as ...688)."""
+    first, second = str(tmp_path / "first.csv"), str(tmp_path / "second.csv")
+    rng = np.random.default_rng(15)
+    for _ in range(300):
+        dt = 10 ** rng.uniform(-4, 1)
+        n = int(rng.choice([2, 3, 7, 50, 3001]))
+        t0 = (0.0, round(rng.uniform(-100, 100), 1), rng.uniform(-100, 100))[rng.integers(3)]
+        save_trace_csv(Trace(("x",), t0, dt, rng.normal(size=(n, 1))), first)
+        save_trace_csv(load_trace_csv(first), second)
+        with open(first) as a, open(second) as b:
+            assert a.read() == b.read(), (t0, dt, n)
+    save_trace_csv(Trace(("x",), 14.4, 6.750222359845689, np.zeros((7, 1))), first)
+    assert load_trace_csv(first).dt == 6.750222359845689
+
+
+def test_csv_of_short_decimal_times_reloads_with_the_decimal_step(tmp_path):
+    """The one kind of written file that re-saves to other bytes: one whose
+    times are all short decimals.  dt = 0.7000000000000001 from 0.7 writes
+    0.7, 1.4, 2.1, the same bytes as the hand-made grid that
+    test_csv_dt_comes_from_the_decimal_times loads with dt 0.7; the file is
+    read as that grid, and step 0.7 writes 2.0999999999999996."""
+    first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+    save_trace_csv(Trace(("x",), 0.7, 0.7000000000000001, np.zeros((3, 1))), str(first))
+    back = load_trace_csv(str(first))
+    assert (back.t0, back.dt) == (0.7, 0.7)
+    save_trace_csv(back, str(second))
+    assert [row.split(",")[0] for row in first.read_text().split()[1:]] == ["0.7", "1.4", "2.1"]
+    assert [row.split(",")[0] for row in second.read_text().split()[1:]] == [
+        "0.7",
+        "1.4",
+        "2.0999999999999996",
+    ]
+
+
 def test_csv_rejects_non_uniform(tmp_path):
     path = str(tmp_path / "bad.csv")
     path_obj = tmp_path / "bad.csv"

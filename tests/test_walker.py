@@ -137,8 +137,9 @@ def test_until_takes_one_view_of_each_operand(monkeypatch):
 
 
 def test_until_under_min_max_takes_every_prefix_from_one_running_extremum(monkeypatch):
-    """Space, the Boolean oracle and time reduce no prefix on its own; a
-    smoothed semantics reduces each of the 151 and stacks them once."""
+    """Space, the Boolean oracle and time reduce no prefix on its own, and
+    neither do lse, smooth and agm, plain or negated: each takes every prefix
+    from its prefix form.  new reduces each of the 151 and stacks them once."""
     columns = []
     stack = semantics._stack
 
@@ -148,14 +149,19 @@ def test_until_under_min_max_takes_every_prefix_from_one_running_extremum(monkey
 
     monkeypatch.setattr(semantics, "_stack", counting_stack)
     x = long_trace()
+    smoothed = (MetricConfig("lse", k=K), MetricConfig("smooth", k=K),
+                MetricConfig("agm", agm_scales={"x": 2.0, "y": 2.0}))
     for text in ("(x > -0.9 U[0,1.5] y > 0.4)", "!(x > -0.9 U[0,1.5] y > 0.4)"):
         f = parse_formula(text)
         evaluate(MetricConfig("space"), f, x, 0.0)
         satisfies(f, x, 0.0)
         evaluate(MetricConfig("time"), f, x, 0.0)
+        for cfg in smoothed:
+            evaluate(cfg, f, x, 0.0)
     assert columns == []
-    evaluate(MetricConfig("lse", k=K), parse_formula("(x > -0.9 U[0,1.5] y > 0.4)"), x, 0.0)
-    assert columns == [151]
+    for text in ("(x > -0.9 U[0,1.5] y > 0.4)", "!(x > -0.9 U[0,1.5] y > 0.4)"):
+        evaluate(MetricConfig("new", nu=NU), parse_formula(text), x, 0.0)
+    assert columns == [151, 151]
 
 
 @pytest.mark.parametrize("width", [1, 2, 7, 21])
